@@ -17,7 +17,7 @@ from .complexes import (
     squarefree_symbolic_power,
     strip_zero_dim_facets,
 )
-from .cone import build_cone, hilbert_basis
+from .cone import build_cone, degree_limit, hilbert_basis
 from .errors import InvalidComplex, TruncatedPresentation
 from .monomial import ExpVec, MonomialIdeal, degree_lex_key
 
@@ -42,10 +42,9 @@ class AlgebraPresentation:
 def generators(
     complex_: WeightedComplex,
     degree_cap: int | None = None,
-    threads: int = 1,
 ) -> AlgebraPresentation:
     """Minimal algebra generators: positive-degree Hilbert basis points."""
-    basis = hilbert_basis(build_cone(complex_), degree_cap, threads)
+    basis = hilbert_basis(build_cone(complex_), degree_cap)
     gens = tuple(
         CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0
     )
@@ -158,7 +157,7 @@ class DegreeBound:
 
     def max_degree(self) -> int:
         """Largest degree the bound admits."""
-        return isqrt(((self.n + 1) ** (self.n + 3) - 1) // 4**self.n)
+        return degree_limit(self.n)
 
 
 def degree_bound(n: int) -> DegreeBound:

@@ -21,7 +21,6 @@ from .complexes import (
     skeleton_generators,
 )
 from .errors import (
-    DegenerateCone,
     DimensionMismatch,
     InvalidComplex,
     NonSquarefreeIdeal,
@@ -51,7 +50,6 @@ _INPUT_ERRORS = (
     DimensionMismatch,
     NonSquarefreeIdeal,
     ZeroIdealColon,
-    DegenerateCone,
     ValueError,
     OSError,
     json.JSONDecodeError,
@@ -136,7 +134,7 @@ def _print_points(points: Sequence[CoverPoint]) -> None:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     complex_ = _resolve_complex(args)
-    pres = algebra.generators(complex_, args.cap, args.threads)
+    pres = algebra.generators(complex_, args.cap)
     if args.json:
         _emit_json(_presentation_json(pres))
     else:
@@ -587,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex_file", nargs="?")
     _add_family(p)
     p.add_argument("--cap", type=int, help="truncate output above this degree")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_basis)
 

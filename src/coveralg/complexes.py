@@ -115,17 +115,6 @@ def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:
     )
 
 
-def cover_order(complex_: WeightedComplex, a: Iterable[int]) -> int | None:
-    """Largest k such that a is a cover of order k; None when unbounded."""
-    av = tuple(int(x) for x in a)
-    best: int | None = None
-    for f, w in zip(complex_.facets, complex_.weights):
-        k = sum(av[i] for i in f) // w
-        if best is None or k < best:
-            best = k
-    return best
-
-
 def prime_power_ideal(n: int, face: Iterable[int], m: int) -> MonomialIdeal:
     """P_F^m: all exponent vectors supported on the face with total degree m."""
     verts = sorted(face)

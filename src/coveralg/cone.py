@@ -1,29 +1,29 @@
-"""Hilbert bases of cover cones in Z^(n+1), fully exact.
+"""Hilbert bases of cover cones in Z^(n+1), fully exact, by dual mode.
 
-Pipeline: an inequality system (facet rows plus nonnegativity rows) is
-converted to extreme rays by incremental double description, the ray set
-is triangulated by placing, each simplicial piece contributes the lattice
-points of its half-open fundamental parallelepiped, and the candidate set
-is reduced to the unique minimal generating set of the cone's monoid of
-lattice points.
+A cover cone is given by inequality rows: one per facet, then the n+1
+nonnegativity rows. Its Hilbert basis is computed by Pottier's completion
+("The Euclidean algorithm in dimension n", ISSAC 1996), in the form
+Normaliz calls dual mode (Bruns and Ichim, J. Algebra 324 (2010), §4):
+start from the unit vectors, which generate the orthant's lattice points,
+and cut by one facet row at a time, completing the basis of each cut by
+pair sums across the new hyperplane until no new element appears.
 
 All arithmetic is on Python ints; no floating point enters any verdict.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
 from math import isqrt
-from typing import Iterable, Sequence
+from operator import add, le
+from typing import Sequence
 
 from .complexes import WeightedComplex
-from .errors import DegenerateCone, DimensionMismatch
-from .intlinalg import adjugate, cross_normal, det, dot, hnf_columns, primitive, rank
+from .errors import DimensionMismatch
+from .intlinalg import dot
 
-Ray = tuple[int, ...]
 LatticePoint = tuple[int, ...]
+Slack = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -42,22 +42,10 @@ class ConeSystem:
 
 
 @dataclass(frozen=True)
-class SimplicialSubcone:
-    rays: tuple[Ray, ...]
-    index: int
-
-
-@dataclass(frozen=True)
 class HilbertBasis:
     dim: int
     points: tuple[LatticePoint, ...]
     truncated: bool
-
-    def by_degree(self) -> dict[int, tuple[LatticePoint, ...]]:
-        out: dict[int, list[LatticePoint]] = {}
-        for p in self.points:
-            out.setdefault(p[-1], []).append(p)
-        return {k: tuple(v) for k, v in out.items()}
 
 
 def build_cone(complex_: WeightedComplex) -> ConeSystem:
@@ -83,270 +71,111 @@ def _point_key(p: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return (p[-1], tuple(p[:-1]))
 
 
-def extreme_rays(system: ConeSystem) -> tuple[Ray, ...]:
-    """Primitive extreme rays by incremental double description.
-
-    The cone is a subset of the nonnegative orthant (its invariant), so we
-    start from the orthant's unit rays and cut with each row in turn. Ray
-    adjacency uses the standard combinatorial test on tight-row sets,
-    which is valid because every intermediate cone here is pointed.
-    """
-    d = system.dim
-    rays: list[Ray] = []
-    masks: list[int] = []
-    for i in range(d):
-        e = [0] * d
-        e[i] = 1
-        rays.append(tuple(e))
-        masks.append(sum(1 << j for j in range(d) if j != i))
-    nbase = d  # bits 0..d-1 are orthant coordinates, then one bit per row
-
-    for t, row in enumerate(system.rows):
-        bit = 1 << (nbase + t)
-        dots = [dot(row, r) for r in rays]
-        if all(v >= 0 for v in dots):
-            for i, v in enumerate(dots):
-                if v == 0:
-                    masks[i] |= bit
-            continue
-        plus = [i for i, v in enumerate(dots) if v > 0]
-        zero = [i for i, v in enumerate(dots) if v == 0]
-        minus = [i for i, v in enumerate(dots) if v < 0]
-        new_rays: list[Ray] = []
-        for i in plus:
-            for j in minus:
-                meet = masks[i] & masks[j]
-                if any(
-                    k != i and k != j and meet & masks[k] == meet
-                    for k in range(len(rays))
-                ):
-                    continue
-                combo = tuple(
-                    dots[i] * rays[j][c] - dots[j] * rays[i][c]
-                    for c in range(d)
-                )
-                new_rays.append(primitive(combo))
-        kept_rays = [rays[i] for i in plus + zero]
-        kept_masks = [
-            masks[i] | (bit if i in zero else 0) for i in plus + zero
-        ]
-        prior_rows = system.rows[: t + 1]
-        for r in new_rays:
-            m = sum(1 << c for c in range(d) if r[c] == 0)
-            for s, prow in enumerate(prior_rows):
-                if dot(prow, r) == 0:
-                    m |= 1 << (nbase + s)
-            kept_rays.append(r)
-            kept_masks.append(m)
-        rays, masks = kept_rays, kept_masks
-
-    if rank(rays) < d:
-        raise DegenerateCone(
-            f"system cuts out a cone of rank {rank(rays)} < {d}"
-        )
-    return tuple(sorted(rays, key=_point_key))
-
-
-def triangulate(rays: Sequence[Ray]) -> tuple[SimplicialSubcone, ...]:
-    """Placing triangulation of the cone spanned by the given rays.
-
-    Rays are placed in the given order (after a greedy independent prefix
-    seeds the first simplex); each new ray is coned over the boundary
-    walls it sees. Output is deterministic for a fixed input order.
-    """
-    rays = [tuple(r) for r in rays]
-    d = len(rays[0])
-    base: list[int] = []
-    rest: list[int] = []
-    for idx in range(len(rays)):
-        if len(base) < d and rank([rays[i] for i in base] + [rays[idx]]) > len(base):
-            base.append(idx)
-        else:
-            rest.append(idx)
-    if len(base) < d:
-        raise DegenerateCone(
-            f"rays span rank {len(base)} < {d}; cannot triangulate"
-        )
-
-    simplices: list[tuple[int, ...]] = [tuple(sorted(base))]
-    unsigned_normals: dict[tuple[int, ...], Ray] = {}
-
-    def outward_normal(wall: tuple[int, ...], opposite: int) -> Ray:
-        h = unsigned_normals.get(wall)
-        if h is None:
-            h = cross_normal([rays[i] for i in wall])
-            unsigned_normals[wall] = h
-        s = dot(h, rays[opposite])
-        assert s != 0, "wall normal orthogonal to its own simplex"
-        return h if s < 0 else tuple(-x for x in h)
-
-    def boundary_walls() -> list[tuple[tuple[int, ...], int]]:
-        seen: dict[tuple[int, ...], list[int]] = {}
-        for s in simplices:
-            for wall in combinations(s, d - 1):
-                opp = next(i for i in s if i not in wall)
-                seen.setdefault(wall, []).append(opp)
-        return [(w, opps[0]) for w, opps in seen.items() if len(opps) == 1]
-
-    for idx in rest:
-        r = rays[idx]
-        created = []
-        for wall, opp in boundary_walls():
-            if dot(outward_normal(wall, opp), r) > 0:
-                created.append(tuple(sorted(wall + (idx,))))
-        simplices.extend(created)
-
-    out = []
-    for s in simplices:
-        svecs = tuple(sorted((rays[i] for i in s), key=_point_key))
-        out.append(SimplicialSubcone(svecs, abs(det(svecs))))
-    out.sort(key=lambda sc: sc.rays)
-    return tuple(out)
-
-
-def parallelepiped_points(subcone: SimplicialSubcone) -> tuple[LatticePoint, ...]:
-    """Lattice points of the half-open box {sum a_j q_j : 0 <= a_j < 1}.
-
-    Enumerated through the quotient Z^d / Q Z^d: the column Hermite form
-    of the ray matrix gives one residue representative per diagonal box
-    cell, and each representative is folded into the parallelepiped by
-    reducing its ray coordinates mod 1. Exactly `index` points, 0 included.
-    """
-    q = subcone.rays
-    d = len(q)
-    if subcone.index == 1:
-        return ((0,) * d,)
-    qmat = [[q[j][r] for j in range(d)] for r in range(d)]  # rays as columns
-    dval = det(qmat)
-    adj = adjugate(qmat)
-    if dval < 0:
-        dval = -dval
-        adj = [[-x for x in row] for row in adj]
-    h = hnf_columns(qmat)
-    points = set()
-    for z in product(*(range(h[i][i]) for i in range(d))):
-        t = [sum(adj[j][r] * z[r] for r in range(d)) % dval for j in range(d)]
-        p = tuple(
-            sum(qmat[r][j] * t[j] for j in range(d)) // dval for r in range(d)
-        )
-        points.add(p)
-    assert len(points) == subcone.index
-    return tuple(sorted(points, key=_point_key))
-
-
-def _provable_degree_limit(n: int) -> int:
-    # Largest d with d^2 * 4^n < (n+1)^(n+3); cone degrees provably stay below.
+def degree_limit(n: int) -> int:
+    """Largest d with d^2 * 4^n < (n+1)^(n+3), the generator degree bound."""
     return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
 
 def default_degree_cap(dim: int) -> int:
-    """Default truncation guard: the provable degree limit, capped at 1e6."""
-    return min(_provable_degree_limit(dim - 1), 10**6)
+    """Default truncation guard: the degree limit, at least 1, capped at 1e6.
+
+    The floor of 1 is for n = 0, where the limit is 0 but the cone t >= 0
+    has the degree-1 basis point t.
+    """
+    return min(max(degree_limit(dim - 1), 1), 10**6)
+
+
+def _minimal(slacks: list[Slack]) -> list[Slack]:
+    """The slack vectors that lie above no other one, scanned by total.
+
+    A vector below another has the smaller total, so each one need only be
+    checked against those already kept.
+    """
+    kept: list[Slack] = []
+    for s in sorted(slacks, key=sum):
+        if not any(all(map(le, t, s)) for t in kept):
+            kept.append(s)
+    return kept
+
+
+def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
+    """Hilbert basis of C ∩ {row >= 0} from the Hilbert basis of C.
+
+    Each element is a slack vector: the point's coordinates followed by
+    its values on the rows cut before, so y - x lies in C exactly when x's
+    slack is componentwise below y's. The basis splits by the sign of
+    lam = row . x, the two sides sharing lam = 0. Sums p + q with
+    lam(p) > 0 > lam(q) are formed from pairs with at least one element
+    new since the last round; a sum joins each side its lam allows unless
+    an element of that side lies below it in slack and |lam|. The sides
+    only grow, and the completion stops when a round adds nothing. The
+    basis of the cut is then the minimal part of the lam >= 0 side.
+    """
+    d = len(row)
+    sides: dict[int, list[Slack]] = {1: [], -1: []}  # slack + (|lam|,)
+    fresh: dict[int, list[tuple[Slack, int]]] = {1: [], -1: []}  # (slack, lam)
+    paired: dict[int, list[tuple[Slack, int]]] = {1: [], -1: []}
+    for s in basis:
+        lam = dot(row, s[:d])
+        for sign in (1, -1):
+            if sign * lam >= 0:
+                sides[sign].append(s + (sign * lam,))
+        if lam:
+            fresh[1 if lam > 0 else -1].append((s, lam))
+
+    while fresh[1] or fresh[-1]:
+        sums: dict[Slack, int] = {}
+        for plus, minus in (
+            (fresh[1], paired[-1] + fresh[-1]),
+            (paired[1], fresh[-1]),
+        ):
+            for s, lam in plus:
+                for t, mu in minus:
+                    sums.setdefault(tuple(map(add, s, t)), lam + mu)
+        for sign in (1, -1):
+            paired[sign] += fresh[sign]
+            fresh[sign] = []
+        # smallest first, so that fewer reducible sums join a side
+        for s, lam in sorted(sums.items(), key=lambda e: sum(e[0]) + abs(e[1])):
+            for sign in (1, -1):
+                if sign * lam < 0:
+                    continue
+                full = s + (sign * lam,)
+                if any(all(map(le, t, full)) for t in sides[sign]):
+                    continue
+                sides[sign].append(full)
+                if lam:
+                    fresh[sign].append((s, lam))
+    return _minimal(sides[1])
 
 
 def hilbert_basis(
     system: ConeSystem,
     degree_cap: int | None = None,
-    threads: int = 1,
 ) -> HilbertBasis:
     """Unique minimal generating set of the monoid of lattice points.
 
-    Candidates are all extreme rays plus all parallelepiped points of a
-    placing triangulation; a candidate x is dropped iff some other
-    candidate y has x - y in the cone and x != y. Points above the degree
-    cap are removed after reduction and flagged as a truncation.
+    Requires every unit row e_i among the system's rows, so that the cone
+    lies in the nonnegative orthant, whose basis the completion starts
+    from; `build_cone` always emits them. Every other row is then cut in
+    turn (see `_cut`). All basis points are returned, the degree-0 units
+    included, sorted by degree then coordinates. Points above the degree
+    cap are removed and flagged as a truncation.
     """
-    if degree_cap is None:
-        degree_cap = default_degree_cap(system.dim)
-    rays = extreme_rays(system)
-    subcones = triangulate(rays)
-
-    candidates: set[LatticePoint] = set(rays)
-    zero = (0,) * system.dim
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(parallelepiped_points, subcones))
-    else:
-        chunks = [parallelepiped_points(sc) for sc in subcones]
-    for chunk in chunks:
-        candidates.update(p for p in chunk if p != zero)
-
-    ordered = sorted(candidates, key=_point_key)
-    slacks = [tuple(dot(row, c) for row in system.rows) for c in ordered]
-
-    def irreducible(i: int) -> bool:
-        si = slacks[i]
-        return not any(
-            j != i and all(a <= b for a, b in zip(slacks[j], si))
-            for j in range(len(ordered))
+    d = system.dim
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    missing = [i for i, e in enumerate(units) if e not in system.rows]
+    if missing:
+        raise ValueError(
+            f"system lacks the nonnegativity rows of coordinates {missing}; "
+            "the completion needs a cone inside the orthant"
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            keep_mask = list(pool.map(irreducible, range(len(ordered))))
-    else:
-        keep_mask = [irreducible(i) for i in range(len(ordered))]
-
-    kept: list[LatticePoint] = []
-    dropped_by_cap = False
-    for c, keep in zip(ordered, keep_mask):
-        if not keep:
-            continue
-        if c[-1] > degree_cap:
-            dropped_by_cap = True
-            continue
-        kept.append(c)
-    return HilbertBasis(system.dim, tuple(kept), dropped_by_cap)
-
-
-def decompose_lattice_point(
-    basis_points: Iterable[LatticePoint],
-    target: Sequence[int],
-) -> dict[LatticePoint, int] | None:
-    """Express a lattice point as an N-combination of basis points.
-
-    Bounded depth-first search with memoization; unit vectors in the basis
-    absorb whatever remains once the last coordinate reaches zero. Returns
-    the multiplicity map, or None when no combination exists.
-    """
-    target = tuple(int(x) for x in target)
-    d = len(target)
-    units = {tuple(p) for p in basis_points if p[-1] == 0}
-    positive = sorted(
-        (tuple(p) for p in basis_points if p[-1] > 0),
-        key=_point_key,
-        reverse=True,
-    )
-    dead: set[tuple[LatticePoint, int]] = set()
-
-    def finishable(rem: LatticePoint) -> dict[LatticePoint, int] | None:
-        if rem[-1] != 0:
-            return None
-        out: dict[LatticePoint, int] = {}
-        for i, e in enumerate(rem[:-1]):
-            if e:
-                unit = tuple(1 if j == i else 0 for j in range(d))
-                if unit not in units:
-                    return None
-                out[unit] = e
-        return out
-
-    def search(rem: LatticePoint, start: int) -> dict[LatticePoint, int] | None:
-        fin = finishable(rem)
-        if fin is not None:
-            return fin
-        if (rem, start) in dead:
-            return None
-        for idx in range(start, len(positive)):
-            g = positive[idx]
-            if g[-1] > rem[-1] or any(a > b for a, b in zip(g, rem)):
-                continue
-            sub = search(tuple(b - a for a, b in zip(g, rem)), idx)
-            if sub is not None:
-                sub = dict(sub)
-                sub[g] = sub.get(g, 0) + 1
-                return sub
-        dead.add((rem, start))
-        return None
-
-    return search(target, 0)
+    if degree_cap is None:
+        degree_cap = default_degree_cap(d)
+    basis: list[Slack] = units
+    for row in system.rows:
+        if row not in units:
+            basis = _cut(basis, row)
+    points = sorted((s[:d] for s in basis), key=_point_key)
+    kept = tuple(p for p in points if p[-1] <= degree_cap)
+    return HilbertBasis(d, kept, len(kept) < len(points))

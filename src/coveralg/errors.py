@@ -21,10 +21,6 @@ class NotAGraph(InvalidComplex):
     """Complex has a facet that is not a 2-element vertex set."""
 
 
-class DegenerateCone(ValueError):
-    """Inequality system does not cut out a full-dimensional cone."""
-
-
 class SearchBudgetExceeded(RuntimeError):
     """Exhaustive search space exceeds the configured budget."""
 

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: determinants, rank, normals, Hermite form.
+"""Exact integer linear algebra: dot products and determinants.
 
 Everything works on plain Python ints, so there is no overflow to detect;
 intermediate growth is controlled by fraction-free (Bareiss) elimination.
@@ -6,20 +6,7 @@ intermediate growth is controlled by fraction-free (Bareiss) elimination.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
-
-IntVec = tuple[int, ...]
-
-
-def primitive(v: Sequence[int]) -> IntVec:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g <= 1:
-        return tuple(v)
-    return tuple(x // g for x in v)
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -52,102 +39,3 @@ def det(mat: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * a[n - 1][n - 1]
-
-
-def rank(mat: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix (fraction-free row reduction)."""
-    a = [list(row) for row in mat]
-    m = len(a)
-    if m == 0:
-        return 0
-    ncols = len(a[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][c]
-        for i in range(r + 1, m):
-            f = a[i][c]
-            if f:
-                a[i] = primitive([p * x - f * y for x, y in zip(a[i], a[r])])
-        r += 1
-        if r == m:
-            break
-    return r
-
-
-def cross_normal(rows: Sequence[Sequence[int]]) -> IntVec:
-    """Integer normal to the span of d-1 vectors in dimension d.
-
-    Components are the signed maximal minors (generalized cross product),
-    reduced to a primitive vector; all-zero output means the input rows
-    are linearly dependent.
-    """
-    d = len(rows) + 1
-    h = []
-    for i in range(d):
-        minor = [[row[j] for j in range(d) if j != i] for row in rows]
-        h.append((-1) ** i * det(minor))
-    return primitive(h)
-
-
-def adjugate(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Adjugate matrix: adjugate(A) @ A == det(A) * I."""
-    n = len(mat)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * det(minor)
-    return adj
-
-
-def hnf_columns(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Column-style Hermite form of a nonsingular integer matrix.
-
-    Returns a lower-triangular H with positive diagonal obtained from the
-    input by unimodular column operations, so both matrices generate the
-    same lattice of integer column combinations.
-    """
-    a = [list(row) for row in mat]
-    d = len(a)
-
-    def colswap(p: int, q: int) -> None:
-        for r in range(d):
-            a[r][p], a[r][q] = a[r][q], a[r][p]
-
-    def coladd(dst: int, src: int, f: int) -> None:
-        for r in range(d):
-            a[r][dst] += f * a[r][src]
-
-    for i in range(d):
-        while True:
-            if a[i][i] < 0:
-                for r in range(d):
-                    a[r][i] = -a[r][i]
-            if a[i][i] == 0:
-                j = next((j for j in range(i + 1, d) if a[i][j] != 0), None)
-                if j is None:
-                    raise ValueError("matrix is singular")
-                colswap(i, j)
-                continue
-            rest = [j for j in range(i + 1, d) if a[i][j] != 0]
-            if not rest:
-                break
-            jmin = min(
-                (j for j in range(i, d) if a[i][j] != 0),
-                key=lambda j: abs(a[i][j]),
-            )
-            if jmin != i:
-                colswap(i, jmin)
-                continue
-            for j in rest:
-                coladd(j, i, -(a[i][j] // a[i][i]))
-            # remainders now lie in [0, pivot); the swap above keeps Euclid going
-    return a

@@ -10,7 +10,6 @@ vector. Values are immutable and every operation returns a new ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 from .errors import DimensionMismatch, ZeroIdealColon
@@ -220,8 +219,3 @@ def monomial_str(v: ExpVec, t_degree: int | None = None) -> str:
     if t_degree is not None and t_degree > 0:
         parts.append("t" if t_degree == 1 else f"t^{t_degree}")
     return "*".join(parts) if parts else "1"
-
-
-def monomials_in_box(bounds: Iterable[int]) -> Iterable[ExpVec]:
-    """All exponent vectors with 0 <= v[i] <= bounds[i] (test oracle helper)."""
-    return product(*(range(b + 1) for b in bounds))

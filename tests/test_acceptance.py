@@ -20,7 +20,7 @@ from coveralg.complexes import (
     skeleton,
     skeleton_generators,
 )
-from coveralg.cone import build_cone, decompose_lattice_point, hilbert_basis
+from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InvalidComplex
 from coveralg.graphs import WeightedGraph, bipartition, decompose, family_instance
 from coveralg.monomial import MonomialIdeal
@@ -121,6 +121,23 @@ def test_criterion_05_family42_indecomposable():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     _report(5, "family(4,2) cover", f"order 11 indecomposable, {elapsed:.2f}s")
+
+
+def test_criterion_05_family42_basis():
+    # the order-11 cover is not only indecomposable but a basis element,
+    # and the only one of top degree
+    start = time.perf_counter()
+    inst = family_instance(4, 2)
+    basis = hilbert_basis(build_cone(inst.complex))
+    elapsed = time.perf_counter() - start
+    assert not basis.truncated
+    assert len(basis.points) == 256
+    top_degree = max(p[-1] for p in basis.points)
+    top = [p for p in basis.points if p[-1] == top_degree]
+    assert top == [(2, 2, 2, 2, 1, 1, 1, 1, 1, 11)]
+    assert top[0][:-1] == inst.cover and top_degree == inst.order
+    assert elapsed < 10.0
+    _report(5, "family(4,2) basis", f"256 points, unique top at degree 11, {elapsed:.2f}s")
 
 
 def test_criterion_06_graph_degree_at_most_two():
@@ -228,7 +245,7 @@ def test_criterion_09_normality_sampling(family22_basis):
             )
             p = (*a, rng.randint(0, min(kmax, 20)))
             assert system.contains(p)
-            combo = decompose_lattice_point(basis.points, p)
+            combo = oracles.decompose_lattice_point(basis.points, p)
             assert combo is not None, f"{name}: {p} does not decompose"
             total = [0] * (c.n + 1)
             for point, mult in combo.items():

@@ -258,7 +258,8 @@ class TestDeterminantBound:
 
     def test_triangulation_indices_respect_bound(self):
         # subcone indices of canonical-weight cones come from 0/1 matrices
-        from coveralg.cone import build_cone, extreme_rays, triangulate
+        from coveralg.cone import build_cone
+        from oracles import extreme_rays, triangulate
 
         rng = random.Random(23)
         for _ in range(5):

@@ -78,6 +78,16 @@ class TestBasis:
         assert len(out.splitlines()) == 3
         assert "truncated" in err
 
+    def test_no_vertices_has_basis_t(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "facets": []}), encoding="utf-8")
+        code, out, err = run(capsys, "basis", str(path), "--json")
+        assert code == 0
+        assert err == ""
+        data = json.loads(out)
+        assert data["basis"] == [{"a": [], "k": 1}]
+        assert data["truncated"] is False
+
     def test_missing_file_is_input_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "basis", str(tmp_path / "nope.json"))
         assert code == 2
@@ -331,6 +341,11 @@ class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 1
+
+    def test_threads_option_is_gone(self, capsys, triangle_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", triangle_file, "--threads", "2"])
         assert exc.value.code == 1
 
     def test_missing_required_argument_exits_1(self, capsys):

@@ -6,20 +6,27 @@ from itertools import product
 import pytest
 
 import oracles
-from coveralg.complexes import WeightedComplex, is_cover
+from coveralg.algebra import veronese
+from coveralg.complexes import WeightedComplex, is_cover, skeleton
 from coveralg.cone import (
     ConeSystem,
-    SimplicialSubcone,
+    HilbertBasis,
     build_cone,
-    decompose_lattice_point,
     default_degree_cap,
-    extreme_rays,
     hilbert_basis,
+)
+from coveralg.errors import DimensionMismatch
+from coveralg.graphs import family_instance
+from coveralg.intlinalg import det, dot
+from oracles import (
+    DegenerateCone,
+    SimplicialSubcone,
+    decompose_lattice_point,
+    extreme_rays,
     parallelepiped_points,
+    primal_hilbert_basis,
     triangulate,
 )
-from coveralg.errors import DegenerateCone, DimensionMismatch
-from coveralg.intlinalg import det, dot
 
 
 def triangle():
@@ -42,6 +49,25 @@ def random_antichain_complex(rng, n):
         try:
             return WeightedComplex.validate(
                 n, minimal, [rng.randint(1, 3) for _ in minimal]
+            )
+        except InvalidComplex:
+            continue
+
+
+def random_weighted_complex(rng):
+    """3 to 6 vertices, 3 to 7 facets of 2 or 3 vertices, weights up to 5."""
+    from coveralg.errors import InvalidComplex
+
+    n = rng.randint(3, 6)
+    while True:
+        facets = set()
+        for _ in range(rng.randint(3, 7)):
+            size = rng.randint(2, min(3, n - 1))
+            facets.add(frozenset(rng.sample(range(n), size)))
+        minimal = [f for f in facets if not any(g < f for g in facets)]
+        try:
+            return WeightedComplex.validate(
+                n, minimal, [rng.randint(1, 5) for _ in minimal]
             )
         except InvalidComplex:
             continue
@@ -422,10 +448,6 @@ class TestHilbertBasis:
         assert default_degree_cap(4) >= 7
         assert not hilbert_basis(build_cone(triangle())).truncated
 
-    def test_threads_do_not_change_output(self):
-        system = build_cone(triangle())
-        assert hilbert_basis(system, threads=4) == hilbert_basis(system)
-
     def test_empty_complex_cone(self):
         c = WeightedComplex.validate(3, [])
         basis = hilbert_basis(build_cone(c))
@@ -435,3 +457,40 @@ class TestHilbertBasis:
             (1, 0, 0, 0),
             (0, 0, 0, 1),
         )
+        # n = 0: the cone t >= 0, whose basis {t} the default cap admits
+        no_vertices = build_cone(WeightedComplex.validate(0, []))
+        assert hilbert_basis(no_vertices) == HilbertBasis(1, ((1,),), False)
+
+    def test_system_outside_the_orthant_rejected(self):
+        # without the row y >= 0 the completion has no orthant to start from
+        system = ConeSystem(2, ((1, 0), (1, 1)))
+        with pytest.raises(ValueError, match="nonnegativity"):
+            hilbert_basis(system)
+
+    def test_matches_primal_oracle_on_named_instances(self):
+        instances = [
+            triangle(),
+            WeightedComplex.validate(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
+            veronese(skeleton(5, 2), 3),
+            family_instance(2, 2).complex,
+            # a cut whose lam >= 0 side keeps an element that a later sum
+            # lies below: only the final minimalization removes it
+            WeightedComplex.validate(
+                5, [(0, 1), (0, 4), (0, 2, 3), (1, 3, 4)], [3, 3, 5, 4]
+            ),
+        ]
+        for c in instances:
+            system = build_cone(c)
+            assert hilbert_basis(system).points == primal_hilbert_basis(system)
+
+    def test_matches_primal_oracle_on_random_weighted_complexes(self):
+        rng = random.Random(113)
+        above_degree_one = 0
+        for _ in range(150):
+            system = build_cone(random_weighted_complex(rng))
+            basis = hilbert_basis(system)
+            assert not basis.truncated
+            assert basis.points == primal_hilbert_basis(system)
+            above_degree_one += basis.points[-1][-1] >= 2
+        # the draw must reach beyond standard graded algebras to test much
+        assert above_degree_one >= 20
