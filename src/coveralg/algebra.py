@@ -1,24 +1,27 @@
-"""Graded presentations of cover algebras, degree bounds, power comparisons.
+"""Graded presentations of cover algebras, symbolic powers, degree bounds.
 
 The generator list of a complex is the positive-degree part of the cover
-cone's Hilbert basis. Degree bounds with irrational closed forms are
-handled by squared-integer comparators so every verdict is exact.
+cone's Hilbert basis. Symbolic powers of squarefree ideals are read off
+that list. Degree bounds with irrational closed forms are handled by
+squared-integer comparators so every verdict is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import add
 from typing import Sequence
 
 from .complexes import (
     CoverPoint,
     WeightedComplex,
-    squarefree_symbolic_power,
+    cover_complex,
+    facet_complex,
     strip_zero_dim_facets,
 )
 from .cone import build_cone, degree_limit, hilbert_basis
-from .errors import InvalidComplex, TruncatedPresentation
+from .errors import InvalidComplex, NonSquarefreeIdeal, TruncatedPresentation
 from .monomial import ExpVec, MonomialIdeal, degree_lex_key
 
 
@@ -31,12 +34,6 @@ class AlgebraPresentation:
     @property
     def n(self) -> int:
         return self.complex.n
-
-    def by_degree(self) -> dict[int, tuple[CoverPoint, ...]]:
-        out: dict[int, list[CoverPoint]] = {}
-        for g in self.generators:
-            out.setdefault(g.k, []).append(g)
-        return {k: tuple(v) for k, v in out.items()}
 
 
 def generators(
@@ -183,6 +180,41 @@ def fs_determinant_bound(n: int) -> DeterminantBound:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return DeterminantBound(n)
+
+
+def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """k-th symbolic power of a squarefree ideal, read off a cover algebra.
+
+    I^(k) is the degree-k part of the vertex cover algebra of the complex
+    of I's minimal primes (Herzog, Hibi and Trung, Adv. Math. 210 (2007)),
+    so its generators are the minimal sums of algebra generators whose
+    degrees add up to k. Generators above degree k cannot be summands and
+    are capped off. S_j, the minimal sums of degree j, is built from the
+    S_(j - deg g); minimal elements suffice, because adding g is monotone.
+    """
+    if k < 1:
+        raise ValueError(f"symbolic power order must be >= 1, got {k}")
+    if not ideal.is_squarefree:
+        raise NonSquarefreeIdeal(
+            "symbolic power via minimal primes requires a squarefree ideal"
+        )
+    if ideal.is_zero or ideal.is_unit:
+        return ideal
+    gens = generators(cover_complex(facet_complex(ideal)), k).generators
+    sums = [MonomialIdeal.unit(ideal.n)]
+    for j in range(1, k + 1):
+        sums.append(
+            MonomialIdeal.from_gens(
+                ideal.n,
+                (
+                    tuple(map(add, g.a, s))
+                    for g in gens
+                    if g.k <= j
+                    for s in sums[j - g.k].gens
+                ),
+            )
+        )
+    return sums[k]
 
 
 @dataclass(frozen=True)

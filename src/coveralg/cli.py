@@ -1,7 +1,8 @@
 """Batch command line front end.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 usage error, 2 invalid input, 3 degree cap or search budget exceeded.
+1 usage error, 2 invalid input, 3 degree cap or search budget exceeded,
+4 internal error (a failed invariant: a bug, never bad input).
 Identical invocations on identical inputs produce byte-identical output.
 """
 
@@ -22,6 +23,7 @@ from .complexes import (
 )
 from .errors import (
     DimensionMismatch,
+    InternalError,
     InvalidComplex,
     NonSquarefreeIdeal,
     NotAGraph,
@@ -43,6 +45,7 @@ from .monomial import MonomialIdeal, monomial_str
 USAGE_EXIT = 1
 INPUT_EXIT = 2
 BUDGET_EXIT = 3
+INTERNAL_EXIT = 4
 
 _INPUT_ERRORS = (
     InvalidComplex,
@@ -165,9 +168,7 @@ def cmd_symbolic(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return INPUT_EXIT
-        from .complexes import squarefree_symbolic_power
-
-        result = squarefree_symbolic_power(ideal, args.order)
+        result = algebra.squarefree_symbolic_power(ideal, args.order)
     _print_ideal(result, args.json)
     return 0
 
@@ -463,10 +464,8 @@ def _repro_checks(quick: bool):
         return ok, "order-2 cover (1,1,1)"
 
     def symbolic_square_products() -> tuple[bool, str]:
-        from .complexes import squarefree_symbolic_power
-
         ideal = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
-        sym = {j: squarefree_symbolic_power(ideal, j) for j in (2, 3, 4, 6)}
+        sym = {j: algebra.squarefree_symbolic_power(ideal, j) for j in (2, 3, 4, 6)}
         ok = sym[2] * sym[2] == sym[4] and sym[2] * sym[4] == sym[6]
         xyz3 = (3, 3, 3)
         ok = ok and sym[6].contains(xyz3) and not (sym[3] * sym[3]).contains(xyz3)
@@ -663,6 +662,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

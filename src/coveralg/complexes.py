@@ -1,4 +1,4 @@
-"""Weighted simplicial complexes, vertex covers of order k, and cover ideals.
+"""Weighted simplicial complexes, vertex covers of order k, and their duals.
 
 Vertices are 0-indexed internally; the JSON file format and everything the
 CLI prints are 1-indexed. A complex is a facet antichain with one positive
@@ -94,12 +94,6 @@ class WeightedComplex:
         return cls.validate(n, facets, weights)
 
 
-def face_sum(a: Iterable[int], face: Iterable[int]) -> int:
-    """Sum of the entries of a over a vertex set; the least m with x^a in P_F^m."""
-    av = tuple(a)
-    return sum(av[i] for i in face)
-
-
 def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:
     """True iff a is a vertex cover of order k (order 0 holds vacuously)."""
     av = tuple(int(x) for x in a)
@@ -113,47 +107,6 @@ def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:
         sum(av[i] for i in f) >= k * w
         for f, w in zip(complex_.facets, complex_.weights)
     )
-
-
-def prime_power_ideal(n: int, face: Iterable[int], m: int) -> MonomialIdeal:
-    """P_F^m: all exponent vectors supported on the face with total degree m."""
-    verts = sorted(face)
-    gens = []
-    for comp in _weak_compositions(m, len(verts)):
-        v = [0] * n
-        for vert, e in zip(verts, comp):
-            v[vert] = e
-        gens.append(tuple(v))
-    return MonomialIdeal.from_gens(n, gens)
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
-def cover_ideal(complex_: WeightedComplex, scale: int = 1) -> MonomialIdeal:
-    """Intersection of P_F^(scale * w_F) over all facets.
-
-    With scale=1 this is the cover ideal: its minimal generators are
-    exactly the componentwise-minimal covers of order 1.
-    """
-    result = MonomialIdeal.unit(complex_.n)
-    for f, w in zip(complex_.facets, complex_.weights):
-        result = result.intersect(prime_power_ideal(complex_.n, f, scale * w))
-    return result
-
-
-def module_generators(complex_: WeightedComplex, k: int) -> tuple[CoverPoint, ...]:
-    """Minimal generators of the order-k cover module, tagged with k."""
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k}")
-    ideal = cover_ideal(complex_, scale=k)
-    return tuple(CoverPoint(g, k) for g in ideal.gens)
 
 
 def facet_complex(ideal: MonomialIdeal) -> WeightedComplex:
@@ -199,20 +152,6 @@ def cover_complex(complex_: WeightedComplex) -> WeightedComplex:
         if not any(other < c for other in found)
     ]
     return WeightedComplex.validate(complex_.n, minimal)
-
-
-def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th symbolic power of a squarefree ideal via its minimal primes."""
-    if k < 1:
-        raise ValueError(f"symbolic power order must be >= 1, got {k}")
-    if not ideal.is_squarefree:
-        raise NonSquarefreeIdeal(
-            "symbolic power via minimal primes requires a squarefree ideal"
-        )
-    if ideal.is_zero or ideal.is_unit:
-        return ideal
-    dual = cover_complex(facet_complex(ideal))
-    return cover_ideal(dual, scale=k)
 
 
 def skeleton(n: int, j: int) -> WeightedComplex:

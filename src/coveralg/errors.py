@@ -30,5 +30,9 @@ class SearchBudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug in the package, never bad input."""
+
+
 class TruncatedPresentation(ValueError):
     """Degree-capped generator list cannot answer a global question."""

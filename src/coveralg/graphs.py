@@ -13,7 +13,7 @@ from math import prod
 from typing import Iterable, Sequence
 
 from .complexes import WeightedComplex, is_cover
-from .errors import NotAGraph, SearchBudgetExceeded
+from .errors import InternalError, NotAGraph, SearchBudgetExceeded
 from .monomial import ExpVec
 
 BUDGET_ENV_VAR = "COVERALG_BUDGET"
@@ -128,7 +128,10 @@ def _tree_cycle(
         path_u.append(uu)
         path_v.append(vv)
     cycle = path_u + path_v[-2::-1]
-    assert len(cycle) % 2 == 1
+    if len(cycle) % 2 != 1:
+        raise InternalError(
+            f"odd-cycle witness {[v + 1 for v in cycle]} has even length"
+        )
     return tuple(cycle)
 
 
@@ -156,8 +159,10 @@ def split_order2(
         for i in range(graph.n)
     )
     rest = tuple(x - e for x, e in zip(av, eps))
-    assert is_cover(complex_, eps, 2)
-    assert all(x >= 0 for x in rest) and is_cover(complex_, rest, k - 2)
+    if not is_cover(complex_, eps, 2):
+        raise InternalError(f"order-2 part {eps} of {av} is not a cover")
+    if any(x < 0 for x in rest) or not is_cover(complex_, rest, k - 2):
+        raise InternalError(f"rest {rest} of {av} is not a cover of order {k - 2}")
     return eps, rest
 
 
@@ -187,8 +192,10 @@ def bipartite_split(
     c = tuple(x - y for x, y in zip(av, b))
     for e, w in zip(graph.edges, graph.weights):
         i, j = sorted(e)
-        assert b[i] + b[j] >= w
-        assert c[i] + c[j] >= (k - 1) * w
+        if b[i] + b[j] < w or c[i] + c[j] < (k - 1) * w:
+            raise InternalError(
+                f"split {b} + {c} of {av} fails edge {{{i + 1},{j + 1}}}"
+            )
     return b, c
 
 
@@ -353,5 +360,8 @@ def family_instance(m: int, k: int) -> FamilyInstance:
     cover = tuple(k if i < m else 1 for i in range(n))
     order = m * k + k + 1
     for f in complex_.facets:
-        assert sum(cover[v] for v in f) == order
+        if sum(cover[v] for v in f) != order:
+            raise InternalError(
+                f"family({m},{k}) cover misses facet {sorted(v + 1 for v in f)}"
+            )
     return FamilyInstance(graph, complex_, cover, order)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DimensionMismatch, ZeroIdealColon
+from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 
 ExpVec = tuple[int, ...]
 
@@ -157,7 +157,8 @@ class MonomialIdeal:
                 ),
             )
             result = shifted if result is None else result.intersect(shifted)
-        assert result is not None
+        if result is None:
+            raise InternalError("colon by a nonzero ideal left no result")
         return result
 
     def saturate(self, other: MonomialIdeal) -> MonomialIdeal:
@@ -192,20 +193,6 @@ class MonomialIdeal:
         if self.is_zero:
             return "(0)"
         return "(" + ", ".join(monomial_str(g) for g in self.gens) + ")"
-
-
-def minimalize(vectors: Iterable[Iterable[int]], n: int | None = None) -> MonomialIdeal:
-    """Canonical ideal generated by the given exponent vectors.
-
-    The ambient dimension is read off the vectors; it must be passed
-    explicitly when the input is empty.
-    """
-    vecs = [tuple(int(x) for x in v) for v in vectors]
-    if n is None:
-        if not vecs:
-            raise ValueError("ambient dimension required for empty input")
-        n = len(vecs[0])
-    return MonomialIdeal.from_gens(n, vecs)
 
 
 def monomial_str(v: ExpVec, t_degree: int | None = None) -> str:

@@ -1,9 +1,10 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes answers from first principles (definitions,
-enumeration, exhaustive scans) or by a second algorithm (the primal
-Hilbert-basis engine at the end) without calling the code paths under
-test, so a test comparing the two sides is a genuine cross-check.
+enumeration, exhaustive scans) or by a second algorithm (symbolic powers
+by intersecting prime powers, and the primal Hilbert-basis engine at the
+end) without calling the code paths under test, so a test comparing the
+two sides is a genuine cross-check.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from itertools import combinations, product
 from math import gcd
 from typing import Iterable, Sequence
 
+from coveralg.complexes import CoverPoint, WeightedComplex
 from coveralg.cone import ConeSystem
 from coveralg.intlinalg import det, dot
+from coveralg.monomial import MonomialIdeal
 
 
 def divides(f, m) -> bool:
@@ -72,6 +75,69 @@ def minimal_hitting_sets(n, facets):
     return {
         h for h in hitting if not any(other < h for other in hitting)
     }
+
+
+# --- symbolic powers by intersection ----------------------------------------
+#
+# The second route to symbolic powers: intersect a power of the prime
+# P_F = (x_i : i in F) for every minimal prime, that is for every facet F
+# of the cover complex. The package reads them off the cover algebra.
+
+
+def prime_power_ideal(n: int, face: Iterable[int], m: int) -> MonomialIdeal:
+    """P_F^m: all exponent vectors supported on the face with total degree m."""
+    verts = sorted(face)
+    gens = []
+    for comp in _weak_compositions(m, len(verts)):
+        v = [0] * n
+        for vert, e in zip(verts, comp):
+            v[vert] = e
+        gens.append(tuple(v))
+    return MonomialIdeal.from_gens(n, gens)
+
+
+def _weak_compositions(total: int, parts: int):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def cover_ideal(complex_: WeightedComplex, scale: int = 1) -> MonomialIdeal:
+    """Intersection of P_F^(scale * w_F) over all facets.
+
+    With scale=1 this is the cover ideal: its minimal generators are
+    exactly the componentwise-minimal covers of order 1.
+    """
+    result = MonomialIdeal.unit(complex_.n)
+    for f, w in zip(complex_.facets, complex_.weights):
+        result = result.intersect(prime_power_ideal(complex_.n, f, scale * w))
+    return result
+
+
+def module_generators(complex_: WeightedComplex, k: int) -> tuple[CoverPoint, ...]:
+    """Minimal generators of the order-k cover module, tagged with k."""
+    if k < 1:
+        raise ValueError(f"order must be >= 1, got {k}")
+    ideal = cover_ideal(complex_, scale=k)
+    return tuple(CoverPoint(g, k) for g in ideal.gens)
+
+
+def symbolic_power_by_intersection(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """I^(k) of a squarefree ideal as the meet of P_C^k over its minimal primes.
+
+    The minimal primes come from `minimal_hitting_sets` (a full scan), not
+    from the package's cover complex.
+    """
+    if ideal.is_zero or ideal.is_unit:
+        return ideal
+    supports = [[i for i, e in enumerate(g) if e] for g in ideal.gens]
+    result = MonomialIdeal.unit(ideal.n)
+    for c in minimal_hitting_sets(ideal.n, supports):
+        result = result.intersect(prime_power_ideal(ideal.n, c, k))
+    return result
 
 
 def extreme_rays_bruteforce(rows, dim):

@@ -346,3 +346,45 @@ def test_criterion_11_monomial_calculus_oracle():
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     _report(11, "monomial calculus oracle", f"1000 pairs, {elapsed:.1f}s")
+
+
+def _petersen_edges():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return outer + spokes + inner
+
+
+# Generator counts checked against the intersection of prime powers, which
+# takes 50 to 80 s on each of these.
+@pytest.mark.parametrize(
+    "name, n, edges, k, count",
+    [
+        ("C_9", 9, [(i, (i + 1) % 9) for i in range(9)], 4, 495),
+        ("C_8", 8, [(i, (i + 1) % 8) for i in range(8)], 4, 329),
+        ("Petersen", 10, _petersen_edges(), 3, 562),
+    ],
+    ids=["C9-k4", "C8-k4", "petersen-k3"],
+)
+def test_criterion_12_symbolic_power_of_edge_ideal(name, n, edges, k, count):
+    ideal = MonomialIdeal.from_gens(
+        n, [tuple(1 if i in e else 0 for i in range(n)) for e in edges]
+    )
+    start = time.perf_counter()
+    sym = algebra.squarefree_symbolic_power(ideal, k)
+    elapsed = time.perf_counter() - start
+    assert len(sym.gens) == count
+    # from the definition: x^a is in I^(k) iff a meets every minimal
+    # vertex cover C with sum at least k, and a generator is minimal
+    primes = oracles.minimal_hitting_sets(n, edges)
+
+    def member(a):
+        return all(sum(a[i] for i in c) >= k for c in primes)
+
+    for g in sym.gens:
+        assert member(g)
+        for i in range(n):
+            if g[i]:
+                assert not member(g[:i] + (g[i] - 1,) + g[i + 1 :])
+    assert elapsed < 5.0
+    _report(12, f"{name} symbolic power {k}", f"{count} generators, {elapsed:.2f}s")

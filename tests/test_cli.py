@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import coveralg
+from coveralg import cli, graphs
 from coveralg.cli import main
 from coveralg.complexes import WeightedComplex, is_cover
+from coveralg.errors import InternalError
 from coveralg.graphs import decompose
 
 TRIANGLE = {"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]}
@@ -335,6 +340,35 @@ class TestBudgetEnvVar:
         )
         assert code == 0
         assert out.startswith("decomposable")
+
+
+class TestInternalErrors:
+    def test_failed_invariant_exits_4(self, capsys, triangle_file, monkeypatch):
+        # is_cover answers wrongly for order 2, so the order-2 split's own
+        # check fails: a bug in the package, never reported as bad input
+        real = graphs.is_cover
+        monkeypatch.setattr(
+            graphs, "is_cover", lambda c, a, k: k != 2 and real(c, a, k)
+        )
+        code, out, err = run(
+            capsys, "split", triangle_file, "--cover", "2,2,2;3"
+        )
+        assert code == 4
+        assert out == ""
+        assert err.startswith("internal error: order-2 part")
+
+    def test_internal_error_is_not_an_input_error(self):
+        assert not issubclass(InternalError, cli._INPUT_ERRORS)
+
+    def test_package_has_no_assert(self):
+        # python -O strips assert statements, and the invariants must hold
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(Path(coveralg.__file__).parent.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
 
 
 class TestUsageErrors:

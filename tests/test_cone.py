@@ -358,7 +358,7 @@ class TestHilbertBasis:
         # dual route: the cone engine's degree-k points must be covers the
         # prime-power-intersection machinery also certifies as minimal,
         # and conversely all of those must decompose over the basis
-        from coveralg.complexes import module_generators
+        from oracles import module_generators
 
         rng = random.Random(107)
         for _ in range(12):

@@ -296,7 +296,7 @@ def _all_edge_subsets(n):
 
 
 def _minimal_covers(c, k):
-    from coveralg.complexes import module_generators
+    from oracles import module_generators
 
     return [p.a for p in module_generators(c, k)]
 

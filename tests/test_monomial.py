@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from coveralg.errors import DimensionMismatch, ZeroIdealColon
-from coveralg.monomial import MonomialIdeal, minimalize, monomial_str
+from coveralg.monomial import MonomialIdeal, monomial_str
 
 
 def ideal(n, *gens):
@@ -26,22 +26,18 @@ def random_ideal(rng, n, max_gens=4, max_total_degree=6):
 
 class TestMinimalize:
     def test_drops_divisible_generator(self):
-        result = minimalize([(2, 0), (1, 1), (2, 1)])
+        result = MonomialIdeal.from_gens(2, [(2, 0), (1, 1), (2, 1)])
         assert result.gens == ((1, 1), (2, 0))
 
     def test_empty_input_is_zero_ideal(self):
-        assert minimalize([], n=3) == MonomialIdeal.zero(3)
-
-    def test_empty_input_needs_dimension(self):
-        with pytest.raises(ValueError):
-            minimalize([])
+        assert MonomialIdeal.from_gens(3, []) == MonomialIdeal.zero(3)
 
     def test_unit_swallows_everything(self):
-        assert minimalize([(0, 0), (1, 0)]) == MonomialIdeal.unit(2)
+        assert MonomialIdeal.from_gens(2, [(0, 0), (1, 0)]) == MonomialIdeal.unit(2)
 
     def test_mixed_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):
-            minimalize([(1, 0), (1, 0, 0)])
+            MonomialIdeal.from_gens(2, [(1, 0), (1, 0, 0)])
 
     def test_generated_ideal_unchanged(self):
         rng = random.Random(7)
@@ -51,7 +47,7 @@ class TestMinimalize:
                 tuple(rng.randint(0, 3) for _ in range(n))
                 for _ in range(rng.randint(1, 6))
             ]
-            reduced = minimalize(raw, n=n)
+            reduced = MonomialIdeal.from_gens(n, raw)
             for m in oracles.box((4,) * n):
                 assert reduced.contains(m) == oracles.member(raw, m)
 
@@ -106,12 +102,13 @@ class TestMultiplyPowerSum:
 
     def test_power_two_matches_pairwise_products(self):
         i = ideal(3, (1, 1, 0), (0, 1, 1), (1, 0, 1))
-        brute = minimalize(
+        brute = MonomialIdeal.from_gens(
+            3,
             [
                 tuple(a + b for a, b in zip(f, g))
                 for f in i.gens
                 for g in i.gens
-            ]
+            ],
         )
         assert i**2 == brute
 
