@@ -9,7 +9,6 @@ squared-integer comparators so every verdict is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from operator import add
 from typing import Sequence
 
@@ -161,25 +160,6 @@ def degree_bound(n: int) -> DegreeBound:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return DegreeBound(n)
-
-
-@dataclass(frozen=True)
-class DeterminantBound:
-    """Exact comparator for |det| <= (n+1)^((n+1)/2) / 2^n over 0/1 matrices."""
-
-    n: int
-
-    def holds(self, v: int) -> bool:
-        return v * v * 4**self.n <= (self.n + 1) ** (self.n + 1)
-
-    def max_value(self) -> int:
-        return isqrt((self.n + 1) ** (self.n + 1) // 4**self.n)
-
-
-def fs_determinant_bound(n: int) -> DeterminantBound:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return DeterminantBound(n)
 
 
 def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:

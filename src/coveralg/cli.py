@@ -11,24 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import product as iter_product
 from typing import Sequence
 
 from . import algebra
 from .complexes import (
     CoverPoint,
     WeightedComplex,
-    is_cover,
     skeleton_generators,
 )
 from .errors import (
     DimensionMismatch,
     InternalError,
     InvalidComplex,
-    NonSquarefreeIdeal,
-    NotAGraph,
     SearchBudgetExceeded,
-    ZeroIdealColon,
 )
 from .graphs import (
     WeightedGraph,
@@ -39,7 +34,6 @@ from .graphs import (
     family_instance,
     split_order2,
 )
-from .intlinalg import det
 from .monomial import MonomialIdeal, monomial_str
 
 USAGE_EXIT = 1
@@ -47,17 +41,9 @@ INPUT_EXIT = 2
 BUDGET_EXIT = 3
 INTERNAL_EXIT = 4
 
-_INPUT_ERRORS = (
-    InvalidComplex,
-    NotAGraph,
-    DimensionMismatch,
-    NonSquarefreeIdeal,
-    ZeroIdealColon,
-    ValueError,
-    OSError,
-    json.JSONDecodeError,
-    KeyError,
-)
+# Every input error of the package derives from ValueError, and so does
+# json.JSONDecodeError; a missing or unreadable file is an OSError.
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,140 +415,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _repro_checks(quick: bool):
-    tri = WeightedComplex.validate(3, [(0, 1), (0, 2), (1, 2)])
-    sq = WeightedComplex.validate(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-
-    def triangle_basis() -> tuple[bool, str]:
-        got = algebra.generators(tri).generators
-        want = (
-            CoverPoint((0, 1, 1), 1),
-            CoverPoint((1, 0, 1), 1),
-            CoverPoint((1, 1, 0), 1),
-            CoverPoint((1, 1, 1), 2),
-        )
-        return got == want, f"{len(got)} generators"
-
-    def square_basis() -> tuple[bool, str]:
-        got = algebra.generators(sq).generators
-        want = (CoverPoint((0, 1, 0, 1), 1), CoverPoint((1, 0, 1, 0), 1))
-        return got == want, f"{len(got)} generators"
-
-    def skeleton_forms() -> tuple[bool, str]:
-        from .complexes import skeleton
-
-        top = 5 if quick else 6
-        for n in range(2, top + 1):
-            for j in range(0, n - 1):
-                pres = algebra.generators(skeleton(n, j))
-                if pres.generators != skeleton_generators(n, j):
-                    return False, f"mismatch at n={n}, j={j}"
-        return True, f"all n <= {top}"
-
-    def triangle_indecomposable() -> tuple[bool, str]:
-        ok = is_cover(tri, (1, 1, 1), 2) and decompose(tri, (1, 1, 1), 2) is None
-        return ok, "order-2 cover (1,1,1)"
-
-    def symbolic_square_products() -> tuple[bool, str]:
-        ideal = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
-        sym = {j: algebra.squarefree_symbolic_power(ideal, j) for j in (2, 3, 4, 6)}
-        ok = sym[2] * sym[2] == sym[4] and sym[2] * sym[4] == sym[6]
-        xyz3 = (3, 3, 3)
-        ok = ok and sym[6].contains(xyz3) and not (sym[3] * sym[3]).contains(xyz3)
-        return ok, "even products multiply, (xyz)^3 separates"
-
-    def second_veronese() -> tuple[bool, str]:
-        planes = [
-            MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 1, 0)]),
-            MonomialIdeal.from_gens(3, [(0, 1, 0), (0, 0, 1)]),
-            MonomialIdeal.from_gens(3, [(1, 0, 0), (0, 0, 1)]),
-        ]
-        search = algebra.find_veronese_d(planes, 3, 6)
-        ok = search.d == 2
-        ok = ok and algebra.is_standard_graded(algebra.veronese(tri, 2))
-        ok = ok and not algebra.is_standard_graded(algebra.veronese(tri, 3))
-        return ok, f"d = {search.d} (verified to k = {search.verified_up_to})"
-
-    def bipartite_iff_standard() -> tuple[bool, str]:
-        ok = not algebra.is_standard_graded(tri)
-        ok = ok and algebra.is_standard_graded(sq)
-        return ok, "triangle false, square true"
-
-    def gorenstein_checks() -> tuple[bool, str]:
-        big1 = WeightedComplex.validate(3, [(0, 1, 2)], [1])
-        big2 = WeightedComplex.validate(3, [(0, 1, 2)], [2])
-        ok = algebra.is_gorenstein(tri)
-        ok = ok and not algebra.is_gorenstein(big1)
-        ok = ok and algebra.is_gorenstein(big2)
-        return ok, "graphs yes, 2-face needs weight 2"
-
-    def family22() -> tuple[bool, str]:
-        inst = family_instance(2, 2)
-        from .cone import build_cone, hilbert_basis
-
-        basis = hilbert_basis(build_cone(inst.complex))
-        top = [p for p in basis.points if p[-1] == max(q[-1] for q in basis.points)]
-        ok = len(basis.points) == 52
-        ok = ok and top == [(2, 2, 1, 1, 1, 1, 1, 7)]
-        return ok, f"{len(basis.points)} basis points, top {top[0][-1]}"
-
-    def family42() -> tuple[bool, str]:
-        inst = family_instance(4, 2)
-        result = decompose(inst.complex, inst.cover, inst.order)
-        ok = result is None and inst.order > inst.complex.n - 1
-        return ok, f"order {inst.order} > n-1 = {inst.complex.n - 1}"
-
-    def fs_scan(n: int) -> tuple[bool, str]:
-        best = 0
-        for bits in iter_product((0, 1), repeat=n * n):
-            m = [bits[i * n : (i + 1) * n] for i in range(n)]
-            best = max(best, abs(det(m)))
-        bound = algebra.fs_determinant_bound(n)
-        return (
-            best == bound.max_value() and bound.holds(best),
-            f"max |det| = {best}",
-        )
-
-    def weighted_bipartite_split() -> tuple[bool, str]:
-        g = WeightedGraph.validate(2, [(0, 1)], [3])
-        b, c = bipartite_split(g, (4, 2), 2)
-        return (b, c) == ((2, 1), (2, 1)), f"b={b}, c={c}"
-
-    checks = [
-        ("triangle basis", triangle_basis),
-        ("square basis", square_basis),
-        ("skeleton closed forms", skeleton_forms),
-        ("triangle (1,1,1) indecomposable", triangle_indecomposable),
-        ("symbolic square products", symbolic_square_products),
-        ("second veronese standard", second_veronese),
-        ("bipartite iff standard graded", bipartite_iff_standard),
-        ("gorenstein criteria", gorenstein_checks),
-        ("family(4,2) indecomposable", family42),
-        ("determinant scan n=3", lambda: fs_scan(3)),
-        ("weighted bipartite split", weighted_bipartite_split),
-    ]
-    if not quick:
-        checks.append(("family(2,2) 52 generators", family22))
-        checks.append(("determinant scan n=4", lambda: fs_scan(4)))
-    return checks
-
-
-def cmd_repro(args: argparse.Namespace) -> int:
-    checks = _repro_checks(args.quick)
-    failures = 0
-    for name, check in checks:
-        try:
-            ok, detail = check()
-        except Exception as exc:  # a crash is a failure, not an abort
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        status = "PASS" if ok else "FAIL"
-        print(f"{status}  {name:<34} {detail}")
-        if not ok:
-            failures += 1
-    print(f"{len(checks) - failures} passed, {failures} failed")
-    return 0 if failures == 0 else 1
-
-
 def _add_family(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--family",
@@ -643,10 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("repro", help="run the worked examples end to end")
-    p.add_argument("--quick", action="store_true", help="skip the slow checks")
-    p.set_defaults(func=cmd_repro)
 
     return parser
 

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
-from .monomial import ExpVec, MonomialIdeal
+from .monomial import ExpVec, MonomialIdeal, file_field
 
 
 class CoverPoint(NamedTuple):
@@ -88,10 +88,10 @@ class WeightedComplex:
 
     @classmethod
     def from_dict(cls, data: dict) -> WeightedComplex:
-        n = int(data["n"])
-        facets = [[int(v) - 1 for v in f] for f in data.get("facets", [])]
-        weights = data.get("weights")
-        return cls.validate(n, facets, weights)
+        n = file_field(data, "n", 0, InvalidComplex)
+        facets = file_field(data, "facets", 2, InvalidComplex, [])
+        weights = file_field(data, "weights", 1, InvalidComplex, None)
+        return cls.validate(n, [[v - 1 for v in f] for f in facets], weights)
 
 
 def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:

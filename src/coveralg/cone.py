@@ -20,10 +20,14 @@ from typing import Sequence
 
 from .complexes import WeightedComplex
 from .errors import DimensionMismatch
-from .intlinalg import dot
+from .monomial import minimal_elements
 
 LatticePoint = tuple[int, ...]
 Slack = tuple[int, ...]
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -85,19 +89,6 @@ def default_degree_cap(dim: int) -> int:
     return min(max(degree_limit(dim - 1), 1), 10**6)
 
 
-def _minimal(slacks: list[Slack]) -> list[Slack]:
-    """The slack vectors that lie above no other one, scanned by total.
-
-    A vector below another has the smaller total, so each one need only be
-    checked against those already kept.
-    """
-    kept: list[Slack] = []
-    for s in sorted(slacks, key=sum):
-        if not any(all(map(le, t, s)) for t in kept):
-            kept.append(s)
-    return kept
-
-
 def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
     """Hilbert basis of C ∩ {row >= 0} from the Hilbert basis of C.
 
@@ -146,7 +137,7 @@ def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
                 sides[sign].append(full)
                 if lam:
                     fresh[sign].append((s, lam))
-    return _minimal(sides[1])
+    return list(minimal_elements(sides[1]))
 
 
 def hilbert_basis(

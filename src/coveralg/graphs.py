@@ -19,8 +19,6 @@ from .monomial import ExpVec
 BUDGET_ENV_VAR = "COVERALG_BUDGET"
 DEFAULT_BUDGET = 10_000_000
 
-ODD_CYCLE_VERTEX_CAP = 12
-
 
 def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
@@ -197,44 +195,6 @@ def bipartite_split(
                 f"split {b} + {c} of {av} fails edge {{{i + 1},{j + 1}}}"
             )
     return b, c
-
-
-def _simple_cycles(adj: Sequence[set[int]], n: int):
-    # Each cycle appears once: rooted at its smallest vertex, direction
-    # fixed by requiring the second vertex below the last.
-    for s in range(n):
-        stack = [(s, (s,))]
-        while stack:
-            v, path = stack.pop()
-            for w in sorted(adj[v]):
-                if w == s and len(path) >= 3 and path[1] < path[-1]:
-                    yield path
-                elif w > s and w not in path:
-                    stack.append((w, path + (w,)))
-
-
-def odd_cycle_domination(graph: WeightedGraph) -> bool:
-    """True iff every vertex has a neighbor on every odd cycle.
-
-    Exhaustive odd-cycle enumeration, so the vertex count is capped;
-    vacuously true on bipartite graphs.
-    """
-    if not graph.has_canonical_weights:
-        raise ValueError("odd cycle domination is defined for canonical weights")
-    if graph.n > ODD_CYCLE_VERTEX_CAP:
-        raise ValueError(
-            f"odd cycle enumeration capped at {ODD_CYCLE_VERTEX_CAP} vertices, "
-            f"got {graph.n}"
-        )
-    adj = graph.adjacency()
-    for cycle in _simple_cycles(adj, graph.n):
-        if len(cycle) % 2 == 0:
-            continue
-        on_cycle = set(cycle)
-        for i in range(graph.n):
-            if not adj[i] & on_cycle:
-                return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ vector. Values are immutable and every operation returns a new ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
@@ -23,17 +24,49 @@ def degree_lex_key(v: ExpVec) -> tuple[int, ExpVec]:
 
 def divides(f: ExpVec, m: ExpVec) -> bool:
     """True iff x^f divides x^m, i.e. f <= m componentwise."""
-    return all(a <= b for a, b in zip(f, m))
+    return all(map(le, f, m))
 
 
-def _antichain(vectors: Iterable[ExpVec]) -> tuple[ExpVec, ...]:
-    # Ascending degree order means earlier vectors can never be divisible
-    # by later ones, so a single forward pass suffices.
+def minimal_elements(vectors: Iterable[ExpVec]) -> tuple[ExpVec, ...]:
+    """Distinct vectors that lie above no other one, in (degree, lex) order.
+
+    Ascending degree order means earlier vectors can never be divisible
+    by later ones, so a single forward pass suffices.
+    """
     out: list[ExpVec] = []
     for v in sorted(set(vectors), key=degree_lex_key):
         if not any(divides(g, v) for g in out):
             out.append(v)
     return tuple(out)
+
+
+_SHAPES = ("an integer", "a list of integers", "a list of lists of integers")
+
+
+def _ints(value: object, depth: int) -> bool:
+    if depth == 0:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, list) and all(_ints(v, depth - 1) for v in value)
+
+
+def file_field(data: object, key: str, depth: int, error: type, default=...):
+    """data[key] of a file's JSON object, checked to be ints nested depth deep.
+
+    Nothing is coerced: a bool, float or string is not an int. A missing
+    field without a default, a malformed one, or a top level that is not
+    an object raises `error` naming the field. Other keys are ignored.
+    """
+    if not isinstance(data, dict):
+        raise error(f"file must hold a JSON object, got {type(data).__name__}")
+    if key not in data:
+        if default is ...:
+            raise error(f"missing field '{key}'")
+        return default
+    value = data[key]
+    if not _ints(value, depth):
+        got = f", got {value!r}" if depth == 0 else ""
+        raise error(f"field '{key}' must be {_SHAPES[depth]}{got}")
+    return value
 
 
 def _checked(n: int, vectors: Iterable[Iterable[int]]) -> list[ExpVec]:
@@ -57,7 +90,7 @@ class MonomialIdeal:
 
     @classmethod
     def from_gens(cls, n: int, vectors: Iterable[Iterable[int]]) -> MonomialIdeal:
-        return cls(n, _antichain(_checked(n, vectors)))
+        return cls(n, minimal_elements(_checked(n, vectors)))
 
     @classmethod
     def zero(cls, n: int) -> MonomialIdeal:
@@ -104,7 +137,7 @@ class MonomialIdeal:
             for f in self.gens
             for g in other.gens
         )
-        return MonomialIdeal(self.n, _antichain(joins))
+        return MonomialIdeal(self.n, minimal_elements(joins))
 
     __and__ = intersect
 
@@ -115,13 +148,13 @@ class MonomialIdeal:
             for f in self.gens
             for g in other.gens
         )
-        return MonomialIdeal(self.n, _antichain(sums))
+        return MonomialIdeal(self.n, minimal_elements(sums))
 
     __mul__ = multiply
 
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
         self._same_ring(other)
-        return MonomialIdeal(self.n, _antichain(self.gens + other.gens))
+        return MonomialIdeal(self.n, minimal_elements(self.gens + other.gens))
 
     __add__ = sum
 
@@ -152,7 +185,7 @@ class MonomialIdeal:
         for g in other.gens:
             shifted = MonomialIdeal(
                 self.n,
-                _antichain(
+                minimal_elements(
                     tuple(max(a - b, 0) for a, b in zip(f, g)) for f in self.gens
                 ),
             )
@@ -184,10 +217,10 @@ class MonomialIdeal:
 
     @classmethod
     def from_dict(cls, data: dict) -> MonomialIdeal:
-        n = int(data["n"])
+        n = file_field(data, "n", 0, ValueError)
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
-        return cls.from_gens(n, data.get("gens", []))
+        return cls.from_gens(n, file_field(data, "gens", 2, ValueError, []))
 
     def __str__(self) -> str:
         if self.is_zero:

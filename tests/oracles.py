@@ -4,7 +4,9 @@ Everything here recomputes answers from first principles (definitions,
 enumeration, exhaustive scans) or by a second algorithm (symbolic powers
 by intersecting prime powers, and the primal Hilbert-basis engine at the
 end) without calling the code paths under test, so a test comparing the
-two sides is a genuine cross-check.
+two sides is a genuine cross-check. Helpers that only the tests use live
+here too: the Bareiss determinant and the 0/1 determinant bound of the
+primal engine, and the odd-cycle domination filter of the graph tests.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from coveralg.complexes import CoverPoint, WeightedComplex
-from coveralg.cone import ConeSystem
-from coveralg.intlinalg import det, dot
+from coveralg.cone import ConeSystem, dot
+from coveralg.graphs import WeightedGraph
 from coveralg.monomial import MonomialIdeal
 
 
@@ -75,6 +77,49 @@ def minimal_hitting_sets(n, facets):
     return {
         h for h in hitting if not any(other < h for other in hitting)
     }
+
+
+# --- odd cycle domination, a graph filter ---------------------------------
+
+ODD_CYCLE_VERTEX_CAP = 12
+
+
+def _simple_cycles(adj: Sequence[set[int]], n: int):
+    # Each cycle appears once: rooted at its smallest vertex, direction
+    # fixed by requiring the second vertex below the last.
+    for s in range(n):
+        stack = [(s, (s,))]
+        while stack:
+            v, path = stack.pop()
+            for w in sorted(adj[v]):
+                if w == s and len(path) >= 3 and path[1] < path[-1]:
+                    yield path
+                elif w > s and w not in path:
+                    stack.append((w, path + (w,)))
+
+
+def odd_cycle_domination(graph: WeightedGraph) -> bool:
+    """True iff every vertex has a neighbor on every odd cycle.
+
+    Exhaustive odd-cycle enumeration, so the vertex count is capped;
+    vacuously true on bipartite graphs.
+    """
+    if not graph.has_canonical_weights:
+        raise ValueError("odd cycle domination is defined for canonical weights")
+    if graph.n > ODD_CYCLE_VERTEX_CAP:
+        raise ValueError(
+            f"odd cycle enumeration capped at {ODD_CYCLE_VERTEX_CAP} vertices, "
+            f"got {graph.n}"
+        )
+    adj = graph.adjacency()
+    for cycle in _simple_cycles(adj, graph.n):
+        if len(cycle) % 2 == 0:
+            continue
+        on_cycle = set(cycle)
+        for i in range(graph.n):
+            if not adj[i] & on_cycle:
+                return False
+    return True
 
 
 # --- symbolic powers by intersection ----------------------------------------
@@ -237,8 +282,8 @@ def _solve_square(matrix, rhs):
 # incremental double description for the extreme rays, a placing
 # triangulation, the lattice points of each simplicial piece's half-open
 # fundamental parallelepiped (Hermite form plus adjugate), and an all-pairs
-# reduction of the candidates. It shares only `dot` and `det` with the
-# package; test_intlinalg checks `det` against cofactor expansion.
+# reduction of the candidates. It shares only `dot` with the package;
+# test_intlinalg checks `det` against cofactor expansion.
 
 Ray = tuple[int, ...]
 LatticePoint = tuple[int, ...]
@@ -247,6 +292,57 @@ IntVec = tuple[int, ...]
 
 class DegenerateCone(ValueError):
     """Inequality system does not cut out a full-dimensional cone."""
+
+
+def det(mat: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    a = [list(row) for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            row_i, row_k = a[i], a[k]
+            f = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = (row_i[j] * pivot - f * row_k[j]) // prev
+            row_i[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
+
+
+@dataclass(frozen=True)
+class DeterminantBound:
+    """Exact comparator for |det| <= (n+1)^((n+1)/2) / 2^n over 0/1 matrices.
+
+    The triangulation's subcone indices of canonical-weight cones are such
+    determinants, so they obey it.
+    """
+
+    n: int
+
+    def holds(self, v: int) -> bool:
+        return v * v * 4**self.n <= (self.n + 1) ** (self.n + 1)
+
+    def max_value(self) -> int:
+        return isqrt((self.n + 1) ** (self.n + 1) // 4**self.n)
+
+
+def fs_determinant_bound(n: int) -> DeterminantBound:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return DeterminantBound(n)
 
 
 def primitive(v: Sequence[int]) -> IntVec:

@@ -213,6 +213,9 @@ def test_criterion_08_symbolic_power_identities():
         for h in (1, 2):
             if k + h <= 3:
                 assert symbolic(2 * k) * symbolic(2 * h) == symbolic(2 * (k + h))
+    edges = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+    for j in range(1, 7):
+        assert algebra.squarefree_symbolic_power(edges, j) == symbolic(j)
     xyz_cubed = (3, 3, 3)
     assert symbolic(6).contains(xyz_cubed)
     assert not (symbolic(3) * symbolic(3)).contains(xyz_cubed)

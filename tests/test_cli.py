@@ -371,6 +371,45 @@ class TestInternalErrors:
         assert found == []
 
 
+MALFORMED_FILES = {
+    "float-vertex": ("complex", {"n": 3, "facets": [[1.7, 2], [2, 3]]}, "facets"),
+    "bool-weight": (
+        "complex",
+        {"n": 3, "facets": [[1, 2], [2, 3]], "weights": [True, 1]},
+        "weights",
+    ),
+    "string-n": ("complex", {"n": "3", "facets": [[1, 2]]}, "'n'"),
+    "float-n": ("complex", {"n": 3.9, "facets": [[1, 2]]}, "'n'"),
+    "bool-n": ("complex", {"n": True, "facets": [[1]]}, "'n'"),
+    "string-facets": ("complex", {"n": 3, "facets": "12"}, "facets"),
+    "complex-array": ("complex", [[1, 2], [2, 3]], "JSON object"),
+    "complex-no-n": ("complex", {"facets": [[1, 2]]}, "missing field 'n'"),
+    "float-exponent": ("ideal", {"n": 2, "gens": [[1.5, 1]]}, "gens"),
+    "bool-exponent": ("ideal", {"n": 2, "gens": [[True, 1]]}, "gens"),
+    "flat-gens": ("ideal", {"n": 2, "gens": [1, 1]}, "gens"),
+    "ideal-float-n": ("ideal", {"n": 2.0, "gens": [[1, 1]]}, "'n'"),
+    "ideal-array": ("ideal", [[1, 1]], "JSON object"),
+    "ideal-no-n": ("ideal", {"gens": [[1, 1]]}, "missing field 'n'"),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, data, field", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys()
+)
+def test_malformed_file_exits_2_naming_the_field(
+    capsys, tmp_path, kind, data, field
+):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    if kind == "complex":
+        code, out, err = run(capsys, "basis", str(path))
+    else:
+        code, out, err = run(capsys, "power", str(path), "-n", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and field in err
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -382,15 +421,14 @@ class TestUsageErrors:
             main(["basis", triangle_file, "--threads", "2"])
         assert exc.value.code == 1
 
+    def test_repro_command_is_gone(self, capsys):
+        # the worked examples run as tests/test_acceptance.py instead
+        with pytest.raises(SystemExit) as exc:
+            main(["repro", "--quick"])
+        assert exc.value.code == 1
+
     def test_missing_required_argument_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["symbolic", "file.json"])  # no -n
         assert exc.value.code == 1
 
-
-def test_repro_quick(capsys):
-    code = main(["repro", "--quick"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 10

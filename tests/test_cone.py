@@ -13,15 +13,16 @@ from coveralg.cone import (
     HilbertBasis,
     build_cone,
     default_degree_cap,
+    dot,
     hilbert_basis,
 )
 from coveralg.errors import DimensionMismatch
 from coveralg.graphs import family_instance
-from coveralg.intlinalg import det, dot
 from oracles import (
     DegenerateCone,
     SimplicialSubcone,
     decompose_lattice_point,
+    det,
     extreme_rays,
     parallelepiped_points,
     primal_hilbert_basis,

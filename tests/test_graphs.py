@@ -14,10 +14,10 @@ from coveralg.graphs import (
     bipartition,
     decompose,
     family_instance,
-    odd_cycle_domination,
     split_order2,
 )
 from coveralg.monomial import MonomialIdeal
+from oracles import odd_cycle_domination
 
 
 def graph(n, edges, weights=None):

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from coveralg.intlinalg import det, dot
-from oracles import adjugate, cross_normal, hnf_columns, primitive, rank
+from coveralg.cone import dot
+from oracles import adjugate, cross_normal, det, hnf_columns, primitive, rank
 
 
 def fraction_det(mat):
