@@ -9,8 +9,9 @@ squared-integer comparators so every verdict is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
-from typing import Sequence
+from functools import reduce
+from operator import add, or_
+from typing import Iterable, Sequence
 
 from .complexes import (
     CoverPoint,
@@ -144,12 +145,15 @@ def is_gorenstein(complex_: WeightedComplex) -> bool:
 
 @dataclass(frozen=True)
 class DegreeBound:
-    """Exact comparator for d < (n+1)^((n+3)/2) / 2^n, squared to stay integral."""
+    """The generator degree bound d < (n+1)^((n+3)/2) / 2^n, for n >= 1.
+
+    Its exact integer form lives in `cone.degree_limit`.
+    """
 
     n: int
 
     def holds(self, d: int) -> bool:
-        return d * d * 4**self.n < (self.n + 1) ** (self.n + 3)
+        return d <= self.max_degree()
 
     def max_degree(self) -> int:
         """Largest degree the bound admits."""
@@ -162,15 +166,32 @@ def degree_bound(n: int) -> DegreeBound:
     return DegreeBound(n)
 
 
+def _bits(flags: Iterable[object]) -> int:
+    """Bitmask with bit i set exactly where the i-th flag is true."""
+    return sum(1 << i for i, f in enumerate(flags) if f)
+
+
 def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th symbolic power of a squarefree ideal, read off a cover algebra.
 
     I^(k) is the degree-k part of the vertex cover algebra of the complex
     of I's minimal primes (Herzog, Hibi and Trung, Adv. Math. 210 (2007)),
-    so its generators are the minimal sums of algebra generators whose
-    degrees add up to k. Generators above degree k cannot be summands and
-    are capped off. S_j, the minimal sums of degree j, is built from the
-    S_(j - deg g); minimal elements suffice, because adding g is monotone.
+    so its generators are the minimal k-covers: the minimal a with
+    a(P) >= k for every minimal prime P, where a(P) sums a over P.
+
+    A minimal j-cover is a sum of algebra generators whose degrees add up
+    to j, and every partial sum is again a minimal cover of its degree.
+    So S_j, the minimal j-covers, lies among the sums g.a + s with s in
+    S_(j - deg g) and g no earlier in the generator list than the last
+    generator s was built with. Generators above degree k cannot be
+    summands and are capped off.
+
+    Such a sum a is a j-cover. It is minimal exactly when every vertex of
+    its support lies in a prime P with a(P) = j, and since g.a(P) >= deg g
+    and s(P) >= j - deg g, those tight primes are the ones tight for both
+    g and s. Each cover carries its tight primes and its support as
+    bitmasks, so the test takes a few integer operations per sum and no
+    antichain is formed.
     """
     if k < 1:
         raise ValueError(f"symbolic power order must be >= 1, got {k}")
@@ -180,21 +201,43 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         )
     if ideal.is_zero or ideal.is_unit:
         return ideal
-    gens = generators(cover_complex(facet_complex(ideal)), k).generators
-    sums = [MonomialIdeal.unit(ideal.n)]
-    for j in range(1, k + 1):
-        sums.append(
-            MonomialIdeal.from_gens(
-                ideal.n,
-                (
-                    tuple(map(add, g.a, s))
-                    for g in gens
-                    if g.k <= j
-                    for s in sums[j - g.k].gens
-                ),
-            )
+    cover = cover_complex(facet_complex(ideal))
+    primes = cover.facets
+    gens = [
+        (
+            g.a,
+            g.k,
+            _bits(sum(g.a[v] for v in p) == g.k for p in primes),
+            _bits(g.a),
         )
-    return sums[k]
+        for g in generators(cover, k).generators
+    ]
+    prime_masks = [sum(1 << v for v in p) for p in primes]
+    reach: dict[int, int] = {}  # tight primes -> the vertices they contain
+
+    def reached(tight: int) -> int:
+        if tight not in reach:
+            reach[tight] = reduce(
+                or_, (m for i, m in enumerate(prime_masks) if tight >> i & 1), 0
+            )
+        return reach[tight]
+
+    # S_j: minimal j-cover -> (tight primes, support, index of last summand)
+    sums = [{(0,) * ideal.n: ((1 << len(primes)) - 1, 0, 0)}]
+    for j in range(1, k + 1):
+        level: dict[ExpVec, tuple[int, int, int]] = {}
+        for i, (a, deg, g_tight, g_support) in enumerate(gens):
+            if deg > j:
+                continue
+            for s, (s_tight, s_support, last) in sums[j - deg].items():
+                if last > i:
+                    continue
+                tight = g_tight & s_tight
+                support = g_support | s_support
+                if not support & ~reached(tight):
+                    level.setdefault(tuple(map(add, a, s)), (tight, support, i))
+        sums.append(level)
+    return MonomialIdeal(ideal.n, tuple(sorted(sums[k], key=degree_lex_key)))
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,10 @@ def _presentation_json(pres: algebra.AlgebraPresentation) -> dict:
             summary["gorenstein"] = algebra.is_gorenstein(pres.complex)
         except InvalidComplex:
             summary["gorenstein"] = None
-        bound = algebra.degree_bound(pres.n) if pres.n >= 1 else None
-        if bound is not None:
-            verdict = "satisfied" if bound.holds(d) else "violated"
+        summary["bound_n"] = None  # the bound is stated for n >= 1
+        if pres.n >= 1:
+            holds = algebra.degree_bound(pres.n).holds(d)
+            verdict = "satisfied" if holds else "violated"
             summary["bound_n"] = f"(n+1)^((n+3)/2)/2^n {verdict}"
     out["summary"] = summary
     return out
@@ -274,23 +275,35 @@ def _check_gorenstein(complex_: WeightedComplex, as_json: bool) -> int:
 
 
 def _check_bound(complex_: WeightedComplex, as_json: bool) -> int:
+    """Max generator degree against the degree bound.
+
+    The bound is stated for n >= 1; with no vertices it is not applicable,
+    and the verdict and limit are null, not a failure.
+    """
     pres = algebra.generators(complex_)
     d = algebra.max_degree(pres)
-    bound = algebra.degree_bound(complex_.n)
-    verdict = bound.holds(d)
+    verdict = limit = None
+    if complex_.n >= 1:
+        bound = algebra.degree_bound(complex_.n)
+        verdict, limit = bound.holds(d), bound.max_degree()
     if as_json:
         _emit_json(
             {
                 "check": "bound",
                 "verdict": verdict,
                 "max_degree": d,
-                "bound_limit": bound.max_degree(),
+                "bound_limit": limit,
             }
+        )
+    elif verdict is None:
+        print(
+            f"max generator degree {d}; degree bound for n={complex_.n}: "
+            "not applicable (needs n >= 1)"
         )
     else:
         print(
             f"max generator degree {d} within degree bound for n={complex_.n} "
-            f"(limit {bound.max_degree()}): {str(verdict).lower()}"
+            f"(limit {limit}): {str(verdict).lower()}"
         )
     return 0
 

@@ -30,14 +30,23 @@ def divides(f: ExpVec, m: ExpVec) -> bool:
 def minimal_elements(vectors: Iterable[ExpVec]) -> tuple[ExpVec, ...]:
     """Distinct vectors that lie above no other one, in (degree, lex) order.
 
-    Ascending degree order means earlier vectors can never be divisible
-    by later ones, so a single forward pass suffices.
+    If g <= v componentwise and g != v, then sum(g) < sum(v): a vector can
+    only lie above one of strictly lower total degree. So one pass in
+    (degree, lex) order tests each vector against the kept vectors of
+    lower degree only, never against those of its own degree; vectors
+    that all share one degree need no test at all.
     """
-    out: list[ExpVec] = []
-    for v in sorted(set(vectors), key=degree_lex_key):
-        if not any(divides(g, v) for g in out):
-            out.append(v)
-    return tuple(out)
+    lower: list[ExpVec] = []  # kept vectors of lower degree than v
+    level: list[ExpVec] = []  # kept vectors of v's degree
+    degree: int | None = None
+    for d, v in sorted((sum(v), v) for v in set(vectors)):
+        if d != degree:
+            degree = d
+            lower += level
+            level = []
+        if not any(all(map(le, g, v)) for g in lower):
+            level.append(v)
+    return tuple(lower + level)
 
 
 _SHAPES = ("an integer", "a list of integers", "a list of lists of integers")

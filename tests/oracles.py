@@ -27,6 +27,16 @@ def divides(f, m) -> bool:
     return all(a <= b for a, b in zip(f, m))
 
 
+def minimal_elements(vectors) -> tuple:
+    """Distinct vectors above no other one, by testing every pair.
+
+    Sorted by (degree, lex) to match `monomial.minimal_elements`.
+    """
+    vs = set(vectors)
+    kept = [v for v in vs if not any(u != v and divides(u, v) for u in vs)]
+    return tuple(sorted(kept, key=lambda v: (sum(v), v)))
+
+
 def member(gens, m) -> bool:
     """Monomial membership straight from the definition."""
     return any(divides(g, m) for g in gens)

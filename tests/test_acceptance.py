@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -358,21 +358,34 @@ def _petersen_edges():
     return outer + spokes + inner
 
 
-# Generator counts checked against the intersection of prime powers, which
-# takes 50 to 80 s on each of these.
-@pytest.mark.parametrize(
-    "name, n, edges, k, count",
-    [
-        ("C_9", 9, [(i, (i + 1) % 9) for i in range(9)], 4, 495),
-        ("C_8", 8, [(i, (i + 1) % 8) for i in range(8)], 4, 329),
-        ("Petersen", 10, _petersen_edges(), 3, 562),
-    ],
-    ids=["C9-k4", "C8-k4", "petersen-k3"],
-)
-def test_criterion_12_symbolic_power_of_edge_ideal(name, n, edges, k, count):
-    ideal = MonomialIdeal.from_gens(
+def _cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _edge_ideal(n, edges):
+    return MonomialIdeal.from_gens(
         n, [tuple(1 if i in e else 0 for i in range(n)) for e in edges]
     )
+
+
+# Generator counts of the first three checked against the intersection of
+# prime powers, which takes 50 to 80 s on each of these; of the last two
+# against minimalizing every candidate sum, which takes 44 s and 9 s.
+@pytest.mark.parametrize(
+    "name, n, edges, k, count, budget",
+    [
+        ("C_9", 9, _cycle(9), 4, 495, 5.0),
+        ("C_8", 8, _cycle(8), 4, 329, 5.0),
+        ("Petersen", 10, _petersen_edges(), 3, 562, 5.0),
+        ("C_9", 9, _cycle(9), 8, 11955, 5.0),
+        ("Petersen", 10, _petersen_edges(), 5, 5320, 3.0),
+    ],
+    ids=["C9-k4", "C8-k4", "petersen-k3", "C9-k8", "petersen-k5"],
+)
+def test_criterion_12_symbolic_power_of_edge_ideal(
+    name, n, edges, k, count, budget
+):
+    ideal = _edge_ideal(n, edges)
     start = time.perf_counter()
     sym = algebra.squarefree_symbolic_power(ideal, k)
     elapsed = time.perf_counter() - start
@@ -389,5 +402,24 @@ def test_criterion_12_symbolic_power_of_edge_ideal(name, n, edges, k, count):
         for i in range(n):
             if g[i]:
                 assert not member(g[:i] + (g[i] - 1,) + g[i + 1 :])
-    assert elapsed < 5.0
+    assert elapsed < budget
     _report(12, f"{name} symbolic power {k}", f"{count} generators, {elapsed:.2f}s")
+
+
+def test_criterion_13_ordinary_power_of_edge_ideal():
+    n, k = 9, 8
+    edges = _cycle(n)
+    ideal = _edge_ideal(n, edges)
+    start = time.perf_counter()
+    power = ideal.power(k)
+    elapsed = time.perf_counter() - start
+    # from the definition: I^k is generated by the products of k edges;
+    # all have degree 2k, so the distinct products are the minimal ones
+    products = {
+        tuple(sum(i in e for e in chosen) for i in range(n))
+        for chosen in combinations_with_replacement(edges, k)
+    }
+    assert set(power.gens) == products
+    assert len(power.gens) == 12870
+    assert elapsed < 5.0
+    _report(13, f"C_9 ordinary power {k}", f"12870 generators, {elapsed:.2f}s")

@@ -193,6 +193,24 @@ class TestCheck:
         assert "limit 7" in out
         assert "true" in out
 
+    def test_bound_not_applicable_without_vertices(self, capsys, tmp_path):
+        # the bound is stated for n >= 1; {t} is still the basis at n = 0
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"n": 0, "facets": []}), encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path), "bound")
+        assert (code, err) == (0, "")
+        assert "not applicable" in out
+        code, out, err = run(capsys, "check", str(path), "bound", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "check": "bound",
+            "verdict": None,
+            "max_degree": 1,
+            "bound_limit": None,
+        }
+        _, out, _ = run(capsys, "basis", str(path), "--json")
+        assert json.loads(out)["summary"]["bound_n"] is None
+
     def test_non_graph_bipartite_check_exits_2(self, capsys, tmp_path):
         path = tmp_path / "tetra.json"
         path.write_text(

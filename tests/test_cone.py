@@ -408,6 +408,21 @@ class TestHilbertBasis:
             )
             assert kept == reference
 
+    def test_basis_independent_of_row_order(self):
+        # the completion cuts the rows in the order given; only the work
+        # may depend on that order, never the basis
+        rng = random.Random(131)
+        instances = [triangle(), family_instance(2, 2).complex]
+        instances += [random_weighted_complex(rng) for _ in range(30)]
+        for c in instances:
+            system = build_cone(c)
+            reference = hilbert_basis(system).points
+            for _ in range(3):
+                rows = list(system.rows)
+                rng.shuffle(rows)
+                shuffled = ConeSystem(system.dim, tuple(rows))
+                assert hilbert_basis(shuffled).points == reference
+
     def test_matches_bruteforce_irreducibles_in_box(self):
         # every coordinate of a cone point dominates the coordinates of any
         # summand, so irreducibility inside a box is decided inside the box;

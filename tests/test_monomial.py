@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from coveralg.errors import DimensionMismatch, ZeroIdealColon
-from coveralg.monomial import MonomialIdeal, monomial_str
+from coveralg.monomial import MonomialIdeal, minimal_elements, monomial_str
 
 
 def ideal(n, *gens):
@@ -50,6 +50,24 @@ class TestMinimalize:
             reduced = MonomialIdeal.from_gens(n, raw)
             for m in oracles.box((4,) * n):
                 assert reduced.contains(m) == oracles.member(raw, m)
+
+
+class TestMinimalElements:
+    def test_matches_all_pairs_oracle(self):
+        # mixed degrees, repeated vectors, the zero vector, empty input
+        rng = random.Random(17)
+        assert minimal_elements([]) == oracles.minimal_elements([]) == ()
+        for _ in range(400):
+            n = rng.randint(1, 5)
+            vectors = [
+                tuple(rng.randint(0, 3) for _ in range(n))
+                for _ in range(rng.randint(0, 25))
+            ]
+            vectors += rng.choices(vectors, k=min(3, len(vectors)))
+            if rng.random() < 0.1:
+                vectors.append((0,) * n)
+            rng.shuffle(vectors)
+            assert minimal_elements(vectors) == oracles.minimal_elements(vectors)
 
 
 class TestContains:
