@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, or_
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .complexes import (
     CoverPoint,
@@ -71,45 +71,6 @@ def veronese(complex_: WeightedComplex, c: int) -> WeightedComplex:
 def is_standard_graded(complex_: WeightedComplex) -> bool:
     """True iff every minimal algebra generator has degree 1."""
     return max_degree(generators(complex_)) <= 1
-
-
-@dataclass(frozen=True)
-class VeroneseSearch:
-    d: int | None
-    verified_up_to: int
-
-    @property
-    def found(self) -> bool:
-        return self.d is not None
-
-
-def find_veronese_d(
-    ideals: Sequence[MonomialIdeal], k_max: int, d_max: int
-) -> VeroneseSearch:
-    """Smallest d <= d_max with (meet of I_j^d)^k == meet of I_j^(dk).
-
-    The identity is checked for k up to k_max only, and the result says
-    so; nothing here certifies the unbounded statement.
-    """
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    if k_max < 1 or d_max < 1:
-        raise ValueError("bounds must be >= 1")
-    n = ideals[0].n
-    for ideal in ideals[1:]:
-        ideals[0]._same_ring(ideal)
-
-    def meet_of_powers(e: int) -> MonomialIdeal:
-        result = MonomialIdeal.unit(n)
-        for ideal in ideals:
-            result = result.intersect(ideal.power(e))
-        return result
-
-    for d in range(1, d_max + 1):
-        base = meet_of_powers(d)
-        if all(base.power(k) == meet_of_powers(d * k) for k in range(2, k_max + 1)):
-            return VeroneseSearch(d, k_max)
-    return VeroneseSearch(None, k_max)
 
 
 @dataclass(frozen=True)

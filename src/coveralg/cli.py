@@ -1,8 +1,8 @@
 """Batch command line front end.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 usage error, 2 invalid input, 3 degree cap or search budget exceeded,
-4 internal error (a failed invariant: a bug, never bad input).
+1 usage error, 2 invalid input, 3 the degree cap cut the computation
+short, 4 internal error (a failed invariant: a bug, never bad input).
 Identical invocations on identical inputs produce byte-identical output.
 """
 
@@ -19,18 +19,12 @@ from .complexes import (
     WeightedComplex,
     skeleton_generators,
 )
-from .errors import (
-    DimensionMismatch,
-    InternalError,
-    InvalidComplex,
-    SearchBudgetExceeded,
-)
+from .errors import DimensionMismatch, InternalError, InvalidComplex
 from .graphs import (
     WeightedGraph,
     bipartite_split,
     bipartition,
     decompose,
-    default_budget,
     family_instance,
     split_order2,
 )
@@ -38,7 +32,7 @@ from .monomial import MonomialIdeal, monomial_str
 
 USAGE_EXIT = 1
 INPUT_EXIT = 2
-BUDGET_EXIT = 3
+CAP_EXIT = 3
 INTERNAL_EXIT = 4
 
 # Every input error of the package derives from ValueError, and so does
@@ -131,7 +125,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
         _print_points(pres.generators)
     if pres.truncated:
         print("warning: output truncated at degree cap", file=sys.stderr)
-        return BUDGET_EXIT
+        return CAP_EXIT
     return 0
 
 
@@ -332,15 +326,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         if not args.cover:
             raise ValueError("--cover 'a1,...,an;k' is required")
         a, k = _parse_cover(args.cover, complex_.n)
-    budget = args.budget if args.budget else default_budget()
-    try:
-        result = decompose(complex_, a, k, budget)
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BUDGET_EXIT
+    result = decompose(complex_, a, k)
     if args.json:
         if result is None:
-            _emit_json({"decomposable": False, "budget": budget})
+            _emit_json({"decomposable": False})
         else:
             _emit_json(
                 {
@@ -352,7 +341,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 }
             )
     elif result is None:
-        print(f"indecomposable (exhaustive, budget={budget})")
+        print("indecomposable")
     else:
         print(
             f"decomposable: {monomial_str(result.b, result.i)} + "
@@ -448,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="minimal algebra generators of a complex")
     p.add_argument("complex_file", nargs="?")
     _add_family(p)
-    p.add_argument("--cap", type=int, help="truncate output above this degree")
+    p.add_argument("--cap", type=int, help="stop at degree N; exit 3 if cut short")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_basis)
 
@@ -483,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex_file", nargs="?")
     _add_family(p)
     p.add_argument("--cover", help="cover as 'a1,...,an;k'")
-    p.add_argument("--budget", type=int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
@@ -517,9 +505,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SearchBudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BUDGET_EXIT
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT

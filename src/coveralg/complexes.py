@@ -2,7 +2,7 @@
 
 Vertices are 0-indexed internally; the JSON file format and everything the
 CLI prints are 1-indexed. A complex is a facet antichain with one positive
-integer weight per facet; an integer vector a is a cover of order k when
+integer weight per facet; a vector a in N^n is a cover of order k when
 every facet F satisfies sum(a[i] for i in F) >= k * weight(F).
 """
 
@@ -95,7 +95,10 @@ class WeightedComplex:
 
 
 def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:
-    """True iff a is a vertex cover of order k (order 0 holds vacuously)."""
+    """True iff a is a vertex cover of order k: a in N^n meeting every facet.
+
+    A negative coordinate is never a cover; order 0 holds for every a >= 0.
+    """
     av = tuple(int(x) for x in a)
     if len(av) != complex_.n:
         raise DimensionMismatch(
@@ -103,7 +106,7 @@ def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:
         )
     if k < 0:
         raise ValueError(f"cover order must be >= 0, got {k}")
-    return all(
+    return all(x >= 0 for x in av) and all(
         sum(av[i] for i in f) >= k * w
         for f, w in zip(complex_.facets, complex_.weights)
     )

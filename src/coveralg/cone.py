@@ -14,7 +14,7 @@ All arithmetic is on Python ints; no floating point enters any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import inf, isqrt
 from operator import add, le
 from typing import Sequence
 
@@ -80,16 +80,9 @@ def degree_limit(n: int) -> int:
     return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
 
-def default_degree_cap(dim: int) -> int:
-    """Default truncation guard: the degree limit, at least 1, capped at 1e6.
-
-    The floor of 1 is for n = 0, where the limit is 0 but the cone t >= 0
-    has the degree-1 basis point t.
-    """
-    return min(max(degree_limit(dim - 1), 1), 10**6)
-
-
-def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
+def _cut(
+    basis: list[Slack], row: Sequence[int], cap: int | None
+) -> tuple[list[Slack], bool]:
     """Hilbert basis of C ∩ {row >= 0} from the Hilbert basis of C.
 
     Each element is a slack vector: the point's coordinates followed by
@@ -101,6 +94,9 @@ def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
     an element of that side lies below it in slack and |lam|. The sides
     only grow, and the completion stops when a round adds nothing. The
     basis of the cut is then the minimal part of the lam >= 0 side.
+    No sum of t-degree above the cap is formed (the flag returned says if
+    one was skipped); t only adds under sums and nothing with a larger t
+    reduces an element, so the cut's points up to the cap are exact.
     """
     d = len(row)
     sides: dict[int, list[Slack]] = {1: [], -1: []}  # slack + (|lam|,)
@@ -114,6 +110,7 @@ def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
         if lam:
             fresh[1 if lam > 0 else -1].append((s, lam))
 
+    skipped = False
     while fresh[1] or fresh[-1]:
         sums: dict[Slack, int] = {}
         for plus, minus in (
@@ -121,8 +118,13 @@ def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
             (paired[1], fresh[-1]),
         ):
             for s, lam in plus:
+                # t-degree left for the summand; inf is only compared
+                room = inf if cap is None else cap - s[d - 1]
                 for t, mu in minus:
-                    sums.setdefault(tuple(map(add, s, t)), lam + mu)
+                    if t[d - 1] > room:
+                        skipped = True
+                    else:
+                        sums.setdefault(tuple(map(add, s, t)), lam + mu)
         for sign in (1, -1):
             paired[sign] += fresh[sign]
             fresh[sign] = []
@@ -137,7 +139,7 @@ def _cut(basis: list[Slack], row: Sequence[int]) -> list[Slack]:
                 sides[sign].append(full)
                 if lam:
                     fresh[sign].append((s, lam))
-    return list(minimal_elements(sides[1]))
+    return list(minimal_elements(sides[1])), skipped
 
 
 def hilbert_basis(
@@ -150,8 +152,9 @@ def hilbert_basis(
     lies in the nonnegative orthant, whose basis the completion starts
     from; `build_cone` always emits them. Every other row is then cut in
     turn (see `_cut`). All basis points are returned, the degree-0 units
-    included, sorted by degree then coordinates. Points above the degree
-    cap are removed and flagged as a truncation.
+    included, sorted by degree then coordinates. A degree cap keeps
+    exactly the points up to it and forms no pair sum above it; truncated
+    says it dropped a sum or a point, so False proves the basis whole.
     """
     d = system.dim
     units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
@@ -161,12 +164,14 @@ def hilbert_basis(
             f"system lacks the nonnegativity rows of coordinates {missing}; "
             "the completion needs a cone inside the orthant"
         )
-    if degree_cap is None:
-        degree_cap = default_degree_cap(d)
+    if degree_cap is not None and degree_cap < 0:
+        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     basis: list[Slack] = units
+    truncated = False
     for row in system.rows:
         if row not in units:
-            basis = _cut(basis, row)
-    points = sorted((s[:d] for s in basis), key=_point_key)
-    kept = tuple(p for p in points if p[-1] <= degree_cap)
-    return HilbertBasis(d, kept, len(kept) < len(points))
+            basis, skipped = _cut(basis, row, degree_cap)
+            truncated |= skipped
+    cap = inf if degree_cap is None else degree_cap
+    points = sorted((s[:d] for s in basis if s[d - 1] <= cap), key=_point_key)
+    return HilbertBasis(d, tuple(points), truncated or len(points) < len(basis))

@@ -21,15 +21,6 @@ class NotAGraph(InvalidComplex):
     """Complex has a facet that is not a 2-element vertex set."""
 
 
-class SearchBudgetExceeded(RuntimeError):
-    """Exhaustive search space exceeds the configured budget."""
-
-    def __init__(self, size: int, budget: int):
-        super().__init__(f"search space of size {size} exceeds budget {budget}")
-        self.size = size
-        self.budget = budget
-
-
 class InternalError(RuntimeError):
     """An internal invariant failed: a bug in the package, never bad input."""
 

@@ -7,22 +7,14 @@ internally, like everywhere else in the package.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from math import prod
+from operator import sub
 from typing import Iterable, Sequence
 
+from .algebra import generators
 from .complexes import WeightedComplex, is_cover
-from .errors import InternalError, NotAGraph, SearchBudgetExceeded
+from .errors import InternalError, NotAGraph
 from .monomial import ExpVec
-
-BUDGET_ENV_VAR = "COVERALG_BUDGET"
-DEFAULT_BUDGET = 10_000_000
-
-
-def default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    return int(raw) if raw else DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,7 @@ def split_order2(
     rest = tuple(x - e for x, e in zip(av, eps))
     if not is_cover(complex_, eps, 2):
         raise InternalError(f"order-2 part {eps} of {av} is not a cover")
-    if any(x < 0 for x in rest) or not is_cover(complex_, rest, k - 2):
+    if not is_cover(complex_, rest, k - 2):
         raise InternalError(f"rest {rest} of {av} is not a cover of order {k - 2}")
     return eps, rest
 
@@ -206,74 +198,36 @@ class Decomposition:
 
 
 def decompose(
-    complex_: WeightedComplex,
-    a: Sequence[int],
-    k: int,
-    budget: int | None = None,
+    complex_: WeightedComplex, a: Sequence[int], k: int
 ) -> Decomposition | None:
     """Find a = b + c with orders i + j = k, i, j >= 1, or certify none exists.
 
-    Exhaustive scan of the box 0 <= b <= a in mixed-radix (lexicographic)
-    order; the first witness in that order is returned, so the result does
-    not depend on evaluation strategy. The product-of-box-sizes search
-    space must fit the budget, otherwise SearchBudgetExceeded is raised
-    (a budget failure is never reported as indecomposability).
+    The algebra's generators answer it: a splits exactly when some g of
+    degree <= k - 1 leaves a - g.a a cover of order k - deg g, since the
+    part b of any split lies above such a g. The witness b is the lex
+    least such g.a, also the lex least b of any split, and i is the least
+    order that c = a - b allows.
     """
-    if budget is None:
-        budget = default_budget()
     if k < 2:
         raise ValueError(f"decomposition needs order k >= 2, got {k}")
     av = tuple(int(x) for x in a)
     if not is_cover(complex_, av, k):
         raise ValueError(f"{av} is not a cover of order {k}")
-    size = prod(x + 1 for x in av) * (k - 1)
-    if size > budget:
-        raise SearchBudgetExceeded(size, budget)
-
-    n = complex_.n
-    facets = [tuple(sorted(f)) for f in complex_.facets]
-    weights = complex_.weights
-    by_vertex: list[list[int]] = [[] for _ in range(n)]
-    for fi, f in enumerate(facets):
-        for v in f:
-            by_vertex[v].append(fi)
-
-    b = [0] * n
-    sums = [0] * len(facets)
-    total_a = tuple(av)
-
-    def orders(s: list[int]) -> int | None:
-        best: int | None = None
-        for fi, w in enumerate(weights):
-            o = s[fi] // w
-            if best is None or o < best:
-                best = o
-        return best
-
-    a_sums = [sum(av[v] for v in f) for f in facets]
-    while True:
-        ob = orders(sums)
-        oc = orders([sa - sb for sa, sb in zip(a_sums, sums)])
-        # valid splits are i in [max(1, k - order(c)), min(order(b), k - 1)];
-        # a complex without facets bounds no order, hence the k fallbacks
-        lo = max(1, k - (k if oc is None else oc))
-        hi = min(k if ob is None else ob, k - 1)
-        if lo <= hi:
-            bb = tuple(b)
-            cc = tuple(x - y for x, y in zip(av, bb))
-            return Decomposition(bb, lo, cc, k - lo)
-        # odometer step: rightmost coordinate counts fastest
-        pos = n - 1
-        while pos >= 0 and b[pos] == total_a[pos]:
-            for fi in by_vertex[pos]:
-                sums[fi] -= b[pos]
-            b[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return None
-        b[pos] += 1
-        for fi in by_vertex[pos]:
-            sums[fi] += 1
+    witnesses = [
+        g.a
+        for g in generators(complex_, k - 1).generators
+        if is_cover(complex_, tuple(map(sub, av, g.a)), k - g.k)
+    ]
+    if not witnesses:
+        return None
+    b = min(witnesses)
+    c = tuple(map(sub, av, b))
+    order_c = min(
+        (sum(c[v] for v in f) // w for f, w in zip(complex_.facets, complex_.weights)),
+        default=k,  # no facet bounds the order
+    )
+    i = max(1, k - order_c)
+    return Decomposition(b, i, c, k - i)
 
 
 @dataclass(frozen=True)

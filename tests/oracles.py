@@ -6,7 +6,8 @@ by intersecting prime powers, and the primal Hilbert-basis engine at the
 end) without calling the code paths under test, so a test comparing the
 two sides is a genuine cross-check. Helpers that only the tests use live
 here too: the Bareiss determinant and the 0/1 determinant bound of the
-primal engine, and the odd-cycle domination filter of the graph tests.
+primal engine, the odd-cycle domination filter of the graph tests, and
+the search for a Veronese degree d by comparing powers of ideals.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from itertools import combinations, product
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from coveralg.complexes import CoverPoint, WeightedComplex
+from coveralg.complexes import CoverPoint, WeightedComplex, is_cover
 from coveralg.cone import ConeSystem, dot
-from coveralg.graphs import WeightedGraph
+from coveralg.graphs import Decomposition, WeightedGraph
 from coveralg.monomial import MonomialIdeal
 
 
@@ -149,6 +150,106 @@ def prime_power_ideal(n: int, face: Iterable[int], m: int) -> MonomialIdeal:
             v[vert] = e
         gens.append(tuple(v))
     return MonomialIdeal.from_gens(n, gens)
+
+
+def box_decompose(
+    complex_: WeightedComplex, a: Sequence[int], k: int
+) -> Decomposition | None:
+    """Find a = b + c with orders i + j = k, i, j >= 1, by scanning 0 <= b <= a.
+
+    Exhaustive scan of the box in mixed-radix (lexicographic) order; the
+    first witness in that order is returned, with the least order i that
+    the rest c leaves room for.
+    """
+    if k < 2:
+        raise ValueError(f"decomposition needs order k >= 2, got {k}")
+    av = tuple(int(x) for x in a)
+    if not is_cover(complex_, av, k):
+        raise ValueError(f"{av} is not a cover of order {k}")
+
+    n = complex_.n
+    facets = [tuple(sorted(f)) for f in complex_.facets]
+    weights = complex_.weights
+    by_vertex: list[list[int]] = [[] for _ in range(n)]
+    for fi, f in enumerate(facets):
+        for v in f:
+            by_vertex[v].append(fi)
+
+    b = [0] * n
+    sums = [0] * len(facets)
+    total_a = tuple(av)
+
+    def orders(s: list[int]) -> int | None:
+        best: int | None = None
+        for fi, w in enumerate(weights):
+            o = s[fi] // w
+            if best is None or o < best:
+                best = o
+        return best
+
+    a_sums = [sum(av[v] for v in f) for f in facets]
+    while True:
+        ob = orders(sums)
+        oc = orders([sa - sb for sa, sb in zip(a_sums, sums)])
+        # valid splits are i in [max(1, k - order(c)), min(order(b), k - 1)];
+        # a complex without facets bounds no order, hence the k fallbacks
+        lo = max(1, k - (k if oc is None else oc))
+        hi = min(k if ob is None else ob, k - 1)
+        if lo <= hi:
+            bb = tuple(b)
+            cc = tuple(x - y for x, y in zip(av, bb))
+            return Decomposition(bb, lo, cc, k - lo)
+        # odometer step: rightmost coordinate counts fastest
+        pos = n - 1
+        while pos >= 0 and b[pos] == total_a[pos]:
+            for fi in by_vertex[pos]:
+                sums[fi] -= b[pos]
+            b[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return None
+        b[pos] += 1
+        for fi in by_vertex[pos]:
+            sums[fi] += 1
+
+
+@dataclass(frozen=True)
+class VeroneseSearch:
+    d: int | None
+    verified_up_to: int
+
+    @property
+    def found(self) -> bool:
+        return self.d is not None
+
+
+def find_veronese_d(
+    ideals: Sequence[MonomialIdeal], k_max: int, d_max: int
+) -> VeroneseSearch:
+    """Smallest d <= d_max with (meet of I_j^d)^k == meet of I_j^(dk).
+
+    The identity is checked for k up to k_max only, and the result says
+    so; nothing here certifies the unbounded statement.
+    """
+    if not ideals:
+        raise ValueError("need at least one ideal")
+    if k_max < 1 or d_max < 1:
+        raise ValueError("bounds must be >= 1")
+    n = ideals[0].n
+    for ideal in ideals[1:]:
+        ideals[0]._same_ring(ideal)
+
+    def meet_of_powers(e: int) -> MonomialIdeal:
+        result = MonomialIdeal.unit(n)
+        for ideal in ideals:
+            result = result.intersect(ideal.power(e))
+        return result
+
+    for d in range(1, d_max + 1):
+        base = meet_of_powers(d)
+        if all(base.power(k) == meet_of_powers(d * k) for k in range(2, k_max + 1)):
+            return VeroneseSearch(d, k_max)
+    return VeroneseSearch(None, k_max)
 
 
 def _weak_compositions(total: int, parts: int):

@@ -219,7 +219,7 @@ def test_criterion_08_symbolic_power_identities():
     xyz_cubed = (3, 3, 3)
     assert symbolic(6).contains(xyz_cubed)
     assert not (symbolic(3) * symbolic(3)).contains(xyz_cubed)
-    search = algebra.find_veronese_d(planes, k_max=3, d_max=6)
+    search = oracles.find_veronese_d(planes, k_max=3, d_max=6)
     assert search.d == 2
     _report(8, "symbolic identities", "even products multiply, d = 2")
 

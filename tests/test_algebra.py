@@ -157,14 +157,14 @@ class TestIsStandardGraded:
 
 class TestFindVeroneseD:
     def test_three_planes_need_two(self):
-        search = algebra.find_veronese_d(coordinate_planes(), k_max=3, d_max=6)
+        search = oracles.find_veronese_d(coordinate_planes(), k_max=3, d_max=6)
         assert search.d == 2
         assert search.verified_up_to == 3
         assert search.found
 
     def test_principal_ideal_is_standard(self):
         principal = MonomialIdeal.from_gens(2, [(1, 0)])
-        assert algebra.find_veronese_d([principal], 3, 4).d == 1
+        assert oracles.find_veronese_d([principal], 3, 4).d == 1
 
     def test_d_one_matches_standard_gradedness(self):
         # squarefree cross-check: d = 1 exactly when the complex is standard
@@ -181,11 +181,11 @@ class TestFindVeroneseD:
                 )
                 for f in c.facets
             ]
-            search = algebra.find_veronese_d(primes, k_max=3, d_max=4)
+            search = oracles.find_veronese_d(primes, k_max=3, d_max=4)
             assert (search.d == 1) == algebra.is_standard_graded(c)
 
     def test_not_found_is_a_value(self):
-        search = algebra.find_veronese_d(coordinate_planes(), k_max=3, d_max=1)
+        search = oracles.find_veronese_d(coordinate_planes(), k_max=3, d_max=1)
         assert search.d is None
         assert not search.found
 

@@ -26,6 +26,13 @@ def triangle_file(tmp_path):
 
 
 @pytest.fixture
+def edge_file(tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"n": 2, "facets": [[1, 2]]}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def square_file(tmp_path):
     path = tmp_path / "square.json"
     path.write_text(json.dumps(SQUARE), encoding="utf-8")
@@ -82,6 +89,12 @@ class TestBasis:
         assert code == 3
         assert len(out.splitlines()) == 3
         assert "truncated" in err
+
+    def test_negative_cap_is_input_error(self, capsys, triangle_file):
+        code, out, err = run(capsys, "basis", triangle_file, "--cap", "-1")
+        assert code == 2
+        assert out == ""
+        assert "degree cap must be >= 0, got -1" in err
 
     def test_no_vertices_has_basis_t(self, capsys, tmp_path):
         path = tmp_path / "empty.json"
@@ -227,7 +240,7 @@ class TestDecompose:
             capsys, "decompose", triangle_file, "--cover", "1,1,1;2"
         )
         assert code == 0
-        assert out.startswith("indecomposable (exhaustive, budget=")
+        assert out == "indecomposable\n"
 
     def test_witness_reverified(self, capsys, triangle_file):
         code, out, _ = run(
@@ -247,18 +260,19 @@ class TestDecompose:
         assert code == 0
         assert "indecomposable" in out
 
-    def test_budget_exceeded_exits_3(self, capsys, triangle_file):
-        code, _, err = run(
-            capsys,
-            "decompose",
-            triangle_file,
-            "--cover",
-            "2,2,2;2",
-            "--budget",
-            "3",
+    def test_indecomposable_json(self, capsys, triangle_file):
+        code, out, _ = run(
+            capsys, "decompose", triangle_file, "--cover", "1,1,1;2", "--json"
         )
-        assert code == 3
-        assert "budget" in err
+        assert code == 0
+        assert json.loads(out) == {"decomposable": False}
+
+    def test_negative_coordinate_is_not_a_cover(self, capsys, edge_file):
+        # 4 + (-1) meets the edge twice, but a cover lies in N^n
+        code, out, err = run(capsys, "decompose", edge_file, "--cover", "4,-1;2")
+        assert code == 2
+        assert out == ""
+        assert "is not a cover of order 2" in err
 
     def test_invalid_cover_syntax_exits_2(self, capsys, triangle_file):
         code, _, err = run(
@@ -291,6 +305,12 @@ class TestSplit:
         assert code == 0
         parts = json.loads(out)["parts"]
         assert [p["k"] for p in parts] == [2, 1]
+
+    def test_negative_coordinate_is_not_a_cover(self, capsys, edge_file):
+        code, out, err = run(capsys, "split", edge_file, "--cover", "5,-2;3")
+        assert code == 2
+        assert out == ""
+        assert "is not a cover of order 3" in err
 
     def test_non_bipartite_low_order_exits_2(self, capsys, triangle_file):
         code, _, err = run(
@@ -334,30 +354,6 @@ class TestSkeletonFamilyBound:
         code, out, _ = run(capsys, "bound", "3", "--json")
         assert code == 0
         assert json.loads(out) == {"n": 3, "max_degree": 7}
-
-
-class TestBudgetEnvVar:
-    def test_env_var_sets_default_budget(self, capsys, triangle_file, monkeypatch):
-        monkeypatch.setenv("COVERALG_BUDGET", "3")
-        code, _, err = run(
-            capsys, "decompose", triangle_file, "--cover", "2,2,2;2"
-        )
-        assert code == 3
-        assert "budget 3" in err
-
-    def test_flag_overrides_env_var(self, capsys, triangle_file, monkeypatch):
-        monkeypatch.setenv("COVERALG_BUDGET", "3")
-        code, out, _ = run(
-            capsys,
-            "decompose",
-            triangle_file,
-            "--cover",
-            "2,2,2;2",
-            "--budget",
-            "100000",
-        )
-        assert code == 0
-        assert out.startswith("decomposable")
 
 
 class TestInternalErrors:
@@ -438,6 +434,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["basis", triangle_file, "--threads", "2"])
         assert exc.value.code == 1
+
+    def test_budget_option_is_gone(self, capsys, triangle_file):
+        # decompose reads its answer off the capped basis, with no search
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", triangle_file, "--cover", "2,2,2;2", "--budget", "5"])
+        assert exc.value.code == 1
+        assert "--budget" in capsys.readouterr().err
 
     def test_repro_command_is_gone(self, capsys):
         # the worked examples run as tests/test_acceptance.py instead

@@ -12,7 +12,6 @@ from coveralg.cone import (
     ConeSystem,
     HilbertBasis,
     build_cone,
-    default_degree_cap,
     dot,
     hilbert_basis,
 )
@@ -461,8 +460,45 @@ class TestHilbertBasis:
         assert all(p[-1] <= 1 for p in basis.points)
 
     def test_default_cap_never_truncates_small_instances(self):
-        assert default_degree_cap(4) >= 7
         assert not hilbert_basis(build_cone(triangle())).truncated
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match="degree cap must be >= 0, got -1"):
+            hilbert_basis(build_cone(triangle()), degree_cap=-1)
+
+    def test_capped_completion_is_the_basis_cut_at_the_cap(self):
+        # the cap prunes pair sums inside the completion, and what is left
+        # must be exactly the full basis up to the cap, at every cap
+        cycle9 = [(i, (i + 1) % 9) for i in range(9)]
+        petersen = [(i, (i + 1) % 5) for i in range(5)] + [
+            (i, i + 5) for i in range(5)
+        ] + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        instances = [
+            triangle(),
+            WeightedComplex.validate(9, cycle9),
+            WeightedComplex.validate(10, petersen),
+            family_instance(2, 2).complex,
+            skeleton(6, 3),
+            veronese(skeleton(5, 2), 3),
+            WeightedComplex.validate(0, []),
+        ]
+        rng = random.Random(2718)
+        instances += [random_weighted_complex(rng) for _ in range(150)]
+        for c in instances:
+            system = build_cone(c)
+            full = hilbert_basis(system)
+            top = full.points[-1][-1]
+            for cap in range(top + 1):
+                capped = hilbert_basis(system, cap)
+                assert capped.points == tuple(
+                    p for p in full.points if p[-1] <= cap
+                ), (c, cap)
+                # exit 0 must prove the output whole: a point above the
+                # cap is only reached through a sum past the cap
+                if cap < top:
+                    assert capped.truncated
+                if not capped.truncated:
+                    assert capped == full
 
     def test_empty_complex_cone(self):
         c = WeightedComplex.validate(3, [])

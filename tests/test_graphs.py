@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from math import prod
 
 import pytest
 
 from coveralg.complexes import WeightedComplex, cover_complex, facet_complex, is_cover
 from coveralg.cone import build_cone, hilbert_basis
-from coveralg.errors import NotAGraph, SearchBudgetExceeded
+from coveralg.errors import InvalidComplex, NotAGraph
 from coveralg.graphs import (
+    Decomposition,
     WeightedGraph,
     bipartite_split,
     bipartition,
@@ -17,7 +19,7 @@ from coveralg.graphs import (
     split_order2,
 )
 from coveralg.monomial import MonomialIdeal
-from oracles import odd_cycle_domination
+from oracles import box_decompose, odd_cycle_domination
 
 
 def graph(n, edges, weights=None):
@@ -35,6 +37,23 @@ def c4():
 def random_graph(rng, n, p=0.5):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
     return graph(n, edges) if edges else graph(n, [])
+
+
+def random_weighted_complex(rng):
+    """3 to 5 vertices, 2 to 5 facets of 2 or 3 vertices, weights up to 3."""
+    n = rng.randint(3, 5)
+    while True:
+        facets = {
+            frozenset(rng.sample(range(n), rng.randint(2, min(3, n - 1))))
+            for _ in range(rng.randint(2, 5))
+        }
+        minimal = [f for f in facets if not any(g < f for g in facets)]
+        try:
+            return WeightedComplex.validate(
+                n, minimal, [rng.randint(1, 3) for _ in minimal]
+            )
+        except InvalidComplex:
+            continue
 
 
 def all_edges_checked(g, cycle):
@@ -250,11 +269,6 @@ class TestDecompose:
         assert is_cover(tri, result.b, result.i)
         assert is_cover(tri, result.c, result.j)
 
-    def test_budget_exceeded_is_not_indecomposable(self):
-        tri = triangle_graph().to_complex()
-        with pytest.raises(SearchBudgetExceeded):
-            decompose(tri, (2, 2, 2), 2, budget=3)
-
     def test_first_witness_is_canonical(self):
         tri = triangle_graph().to_complex()
         result = decompose(tri, (2, 2, 2), 2)
@@ -262,9 +276,51 @@ class TestDecompose:
         assert result.b == (0, 1, 1)
         assert result.i == 1
 
+    def test_witness_can_be_a_generator_of_degree_k_minus_1(self):
+        # a split needs a generator of degree at most k // 2 only, but the
+        # lex least b here is one of degree k - 1 = 2
+        c = WeightedComplex.validate(5, [(1, 3), (0, 1, 4), (2, 3, 4)], [3, 3, 1])
+        result = decompose(c, (1, 7, 0, 2, 1), 3)
+        assert result == box_decompose(c, (1, 7, 0, 2, 1), 3)
+        assert result.b == (0, 5, 0, 1, 1)
+        assert (0, 5, 0, 1, 1, 2) in hilbert_basis(build_cone(c)).points
+
+    def test_no_facets_split_off_t(self):
+        # every a is a cover of every order, so b = 0 of order 1 splits
+        for n, a in ((0, ()), (2, (0, 3))):
+            c = WeightedComplex.validate(n, [])
+            result = decompose(c, a, 3)
+            assert result == Decomposition((0,) * n, 1, a, 2)
+            assert result == box_decompose(c, a, 3)
+
     def test_family_cover_indecomposable(self):
         inst = family_instance(2, 2)
         assert decompose(inst.complex, inst.cover, inst.order) is None
+
+    def test_matches_box_search_on_random_weighted_complexes(self):
+        # the target is a basis point of degree >= 2, which never splits, or
+        # the sum of two generators where there is none, alone or with a
+        # vertex or a further generator added on top; the box stays small
+        rng = random.Random(1009)
+        cases = indecomposable = 0
+        while cases < 1000:
+            c = random_weighted_complex(rng)
+            gens = [p for p in hilbert_basis(build_cone(c), 3).points if p[-1]]
+            tops = [p for p in gens if p[-1] >= 2]
+            picks = [rng.choice(tops)] if tops else rng.choices(gens, k=2)
+            extra = rng.randint(0, 2)
+            if extra == 2:
+                picks.append(rng.choice(gens))
+            *a, k = map(sum, zip(*picks))
+            if extra == 1:
+                a[rng.randrange(c.n)] += 1
+            if prod(x + 1 for x in a) > 1000:
+                continue
+            expected = box_decompose(c, a, k)
+            assert decompose(c, a, k) == expected, (c, a, k)
+            cases += 1
+            indecomposable += expected is None
+        assert indecomposable >= 30
 
     def test_agrees_with_hilbert_basis_membership(self):
         graphs = [
