@@ -4,6 +4,9 @@ Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 usage error, 2 invalid input, 3 the degree cap cut the computation
 short, 4 internal error (a failed invariant: a bug, never bad input).
 Identical invocations on identical inputs produce byte-identical output.
+Each command returns its JSON record and its text lines, the lines as a
+lazy iterable, and `main` alone prints one of the two and picks the exit
+code, so `--json` formats no text.
 """
 
 from __future__ import annotations
@@ -11,21 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import algebra
-from .complexes import (
-    CoverPoint,
-    WeightedComplex,
-    skeleton_generators,
-)
+from .complexes import CoverPoint, WeightedComplex, skeleton_generators
 from .errors import DimensionMismatch, InternalError, InvalidComplex
 from .graphs import (
-    WeightedGraph,
-    bipartite_split,
-    bipartition,
-    decompose,
-    family_instance,
+    WeightedGraph, bipartite_split, bipartition, decompose, family_instance,
     split_order2,
 )
 from .monomial import MonomialIdeal, monomial_str
@@ -34,6 +29,9 @@ USAGE_EXIT = 1
 INPUT_EXIT = 2
 CAP_EXIT = 3
 INTERNAL_EXIT = 4
+
+# A command's output: its JSON record and its text lines.
+Output = tuple[dict, Iterable[str]]
 
 # Every input error of the package derives from ValueError, and so does
 # json.JSONDecodeError; a missing or unreadable file is an OSError.
@@ -68,289 +66,231 @@ def _parse_cover(text: str, n: int) -> tuple[tuple[int, ...], int]:
     except ValueError as exc:
         raise ValueError(f"cover must look like '1,1,0;2', got {text!r}") from exc
     if len(a) != n:
-        raise DimensionMismatch(
-            f"cover has {len(a)} coordinates for {n} vertices"
-        )
+        raise DimensionMismatch(f"cover has {len(a)} coordinates for {n} vertices")
     return a, k
 
 
 def _resolve_complex(args: argparse.Namespace) -> WeightedComplex:
-    if getattr(args, "family", None):
-        m, k = args.family
-        return family_instance(m, k).complex
+    if args.family:
+        return family_instance(*args.family).complex
     if not args.complex_file:
         raise ValueError("either a complex file or --family M K is required")
     return _load_complex(args.complex_file)
 
 
-def _emit_json(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+def _point(g: CoverPoint) -> dict:
+    return {"a": list(g.a), "k": g.k}
 
 
-def _presentation_json(pres: algebra.AlgebraPresentation) -> dict:
-    out = {
-        "n": pres.n,
-        "basis": [{"a": list(g.a), "k": g.k} for g in pres.generators],
-        "truncated": pres.truncated,
+def _lines(points: Sequence[CoverPoint]) -> Iterator[str]:
+    return (monomial_str(g.a, g.k) for g in points)
+
+
+def _standard_graded(d: int) -> bool:
+    """Standard graded: no minimal generator has degree above 1."""
+    return d <= 1
+
+
+def _gorenstein(complex_: WeightedComplex) -> algebra.GorensteinReport | None:
+    """The Gorenstein report, or None where the criterion does not apply.
+
+    It needs a facet with two or more vertices; without one the verdict is
+    null, not an input error.
+    """
+    try:
+        return algebra.gorenstein_report(complex_)
+    except InvalidComplex:
+        return None
+
+
+def _bound(n: int, d: int) -> tuple[bool | None, int | None]:
+    """Verdict and limit of the degree bound for max generator degree d.
+
+    The bound is stated for n >= 1; at n = 0 both are null, not a failure.
+    """
+    if n < 1:
+        return None, None
+    bound = algebra.degree_bound(n)
+    return bound.holds(d), bound.max_degree()
+
+
+def _summary(pres: algebra.AlgebraPresentation) -> dict:
+    d = algebra.max_degree(pres)
+    report = _gorenstein(pres.complex)
+    verdict, _ = _bound(pres.n, d)
+    word = "satisfied" if verdict else "violated"
+    return {
+        "max_degree": d,
+        "standard_graded": _standard_graded(d),
+        "gorenstein": None if report is None else report.verdict,
+        "bound_n": None if verdict is None else f"(n+1)^((n+3)/2)/2^n {word}",
     }
-    summary: dict = {}
-    if not pres.truncated:
-        d = algebra.max_degree(pres)
-        summary["max_degree"] = d
-        summary["standard_graded"] = d <= 1
-        try:
-            summary["gorenstein"] = algebra.is_gorenstein(pres.complex)
-        except InvalidComplex:
-            summary["gorenstein"] = None
-        summary["bound_n"] = None  # the bound is stated for n >= 1
-        if pres.n >= 1:
-            holds = algebra.degree_bound(pres.n).holds(d)
-            verdict = "satisfied" if holds else "violated"
-            summary["bound_n"] = f"(n+1)^((n+3)/2)/2^n {verdict}"
-    out["summary"] = summary
-    return out
 
 
-def _print_points(points: Sequence[CoverPoint]) -> None:
-    for g in points:
-        print(monomial_str(g.a, g.k))
+def cmd_basis(args: argparse.Namespace) -> Output:
+    pres = algebra.generators(_resolve_complex(args), args.cap)
+    record = {
+        "n": pres.n,
+        "basis": [_point(g) for g in pres.generators],
+        "truncated": pres.truncated,
+        "summary": {} if pres.truncated else _summary(pres),
+    }
+    return record, _lines(pres.generators)
 
 
-def cmd_basis(args: argparse.Namespace) -> int:
-    complex_ = _resolve_complex(args)
-    pres = algebra.generators(complex_, args.cap)
-    if args.json:
-        _emit_json(_presentation_json(pres))
-    else:
-        _print_points(pres.generators)
-    if pres.truncated:
-        print("warning: output truncated at degree cap", file=sys.stderr)
-        return CAP_EXIT
-    return 0
+def _ideal(ideal: MonomialIdeal) -> Output:
+    return ideal.to_dict(), (monomial_str(g) for g in ideal.gens)
 
 
-def _print_ideal(ideal: MonomialIdeal, as_json: bool) -> None:
-    if as_json:
-        _emit_json(ideal.to_dict())
-    else:
-        for g in ideal.gens:
-            print(monomial_str(g))
-
-
-def cmd_symbolic(args: argparse.Namespace) -> int:
+def cmd_symbolic(args: argparse.Namespace) -> Output:
     ideal = _load_ideal(args.ideal_file)
     if args.wrt:
-        result = ideal.symbolic_power(args.order, _load_ideal(args.wrt))
+        return _ideal(ideal.symbolic_power(args.order, _load_ideal(args.wrt)))
+    if not ideal.is_squarefree:
+        raise ValueError(
+            "ordinary symbolic powers need a squarefree ideal; "
+            "pass --wrt J-file to saturate with respect to J instead"
+        )
+    return _ideal(algebra.squarefree_symbolic_power(ideal, args.order))
+
+
+def cmd_power(args: argparse.Namespace) -> Output:
+    return _ideal(_load_ideal(args.ideal_file).power(args.order))
+
+
+def cmd_compare(args: argparse.Namespace) -> Output:
+    k = args.order
+    result = algebra.compare_powers(_load_ideal(args.ideal_file), k)
+    witness = result.witness
+
+    def text() -> Iterator[str]:
+        yield f"power {k}: " + (
+            "symbolic equals ordinary" if result.equal
+            else f"symbolic strictly larger, witness {monomial_str(witness)}"
+        )
+
+    witness_a = list(witness) if witness else None
+    return {"k": k, "equal": result.equal, "witness": witness_a}, text()
+
+
+def _check_bipartite(complex_: WeightedComplex) -> Output:
+    bip = bipartition(WeightedGraph.from_complex(complex_))
+    parts = odd_cycle = None
+    if bip.is_bipartite:
+        parts = [sorted(v + 1 for v in p) for p in bip.parts]
     else:
-        if not ideal.is_squarefree:
-            print(
-                "error: ordinary symbolic powers need a squarefree ideal; "
-                "pass --wrt J-file to saturate with respect to J instead",
-                file=sys.stderr,
-            )
-            return INPUT_EXIT
-        result = algebra.squarefree_symbolic_power(ideal, args.order)
-    _print_ideal(result, args.json)
-    return 0
+        odd_cycle = [v + 1 for v in bip.odd_cycle]
+    record = {"check": "bipartite", "verdict": bip.is_bipartite, "parts": parts,
+              "odd_cycle": odd_cycle}
+
+    def text() -> Iterator[str]:
+        if parts is None:
+            yield "bipartite: false"
+            yield "odd cycle: " + " ".join(map(str, odd_cycle))
+        else:
+            yield "bipartite: true"
+            yield "parts: " + " ".join(f"{{{','.join(map(str, p))}}}" for p in parts)
+
+    return record, text()
 
 
-def cmd_power(args: argparse.Namespace) -> int:
-    ideal = _load_ideal(args.ideal_file)
-    _print_ideal(ideal.power(args.order), args.json)
-    return 0
-
-
-def cmd_compare(args: argparse.Namespace) -> int:
-    ideal = _load_ideal(args.ideal_file)
-    result = algebra.compare_powers(ideal, args.order)
-    if args.json:
-        _emit_json(
-            {
-                "k": args.order,
-                "equal": result.equal,
-                "witness": list(result.witness) if result.witness else None,
-            }
-        )
-    elif result.equal:
-        print(f"power {args.order}: symbolic equals ordinary")
-    else:
-        print(
-            f"power {args.order}: symbolic strictly larger, "
-            f"witness {monomial_str(result.witness)}"
-        )
-    return 0
-
-
-def _check_bipartite(complex_: WeightedComplex, as_json: bool) -> int:
-    graph = WeightedGraph.from_complex(complex_)
-    bip = bipartition(graph)
-    if as_json:
-        _emit_json(
-            {
-                "check": "bipartite",
-                "verdict": bip.is_bipartite,
-                "parts": (
-                    [sorted(v + 1 for v in p) for p in bip.parts]
-                    if bip.is_bipartite
-                    else None
-                ),
-                "odd_cycle": (
-                    None
-                    if bip.is_bipartite
-                    else [v + 1 for v in bip.odd_cycle]
-                ),
-            }
-        )
-    elif bip.is_bipartite:
-        u, v = bip.parts
-        print("bipartite: true")
-        print(
-            f"parts: {{{','.join(str(i + 1) for i in sorted(u))}}} "
-            f"{{{','.join(str(i + 1) for i in sorted(v))}}}"
-        )
-    else:
-        print("bipartite: false")
-        print("odd cycle: " + " ".join(str(v + 1) for v in bip.odd_cycle))
-    return 0
-
-
-def _check_standard(complex_: WeightedComplex, as_json: bool) -> int:
+def _check_standard(complex_: WeightedComplex) -> Output:
     pres = algebra.generators(complex_)
     d = algebra.max_degree(pres)
-    verdict = d <= 1
-    witness = None
-    if not verdict:
-        witness = max(pres.generators, key=lambda g: (g.k, g.a))
-    if as_json:
-        _emit_json(
-            {
-                "check": "standard",
-                "verdict": verdict,
-                "max_degree": d,
-                "witness": (
-                    {"a": list(witness.a), "k": witness.k} if witness else None
-                ),
-            }
-        )
-    else:
-        print(f"standard graded: {str(verdict).lower()}")
-        if witness:
-            print(f"witness generator: {monomial_str(witness.a, witness.k)}")
-    return 0
+    verdict = _standard_graded(d)
+    witness = None if verdict else max(pres.generators, key=lambda g: (g.k, g.a))
+    record = {"check": "standard", "verdict": verdict, "max_degree": d,
+              "witness": None if witness is None else _point(witness)}
+
+    def text() -> Iterator[str]:
+        yield f"standard graded: {str(verdict).lower()}"
+        if witness is not None:
+            yield f"witness generator: {monomial_str(witness.a, witness.k)}"
+
+    return record, text()
 
 
-def _check_gorenstein(complex_: WeightedComplex, as_json: bool) -> int:
-    report = algebra.gorenstein_report(complex_)
-    if as_json:
-        _emit_json(
-            {
-                "check": "gorenstein",
-                "verdict": report.verdict,
-                "stripped_facets": [[v + 1] for v, _ in report.stripped],
-                "offending_facets": [
-                    {"facet": [v + 1 for v in f], "weight": w}
-                    for f, w in report.offending
-                ],
-            }
+def _check_gorenstein(complex_: WeightedComplex) -> Output:
+    report = _gorenstein(complex_)
+    record: dict = {"check": "gorenstein", "verdict": None, "stripped_facets": [],
+                    "offending_facets": []}
+    if report is None:
+        return record, (
+            "gorenstein: not applicable (needs a facet with at least two vertices)",
         )
-    else:
-        print(f"gorenstein: {str(report.verdict).lower()}")
+    record["verdict"] = report.verdict
+    record["stripped_facets"] = [[v + 1] for v, _ in report.stripped]
+    record["offending_facets"] = [
+        {"facet": [v + 1 for v in f], "weight": w} for f, w in report.offending
+    ]
+
+    def text() -> Iterator[str]:
+        yield f"gorenstein: {str(report.verdict).lower()}"
         if report.stripped:
-            print(
-                "stripped singleton facets: "
-                + " ".join(f"{{{v + 1}}}" for v, _ in report.stripped)
+            yield "stripped singleton facets: " + " ".join(
+                f"{{{v + 1}}}" for v, _ in report.stripped
             )
         for f, w in report.offending:
-            print(
+            yield (
                 f"facet {{{','.join(str(v + 1) for v in f)}}} has weight {w}, "
                 f"needs {len(f) - 1}"
             )
-    return 0
+
+    return record, text()
 
 
-def _check_bound(complex_: WeightedComplex, as_json: bool) -> int:
-    """Max generator degree against the degree bound.
+def _check_bound(complex_: WeightedComplex) -> Output:
+    n = complex_.n
+    d = algebra.max_degree(algebra.generators(complex_))
+    verdict, limit = _bound(n, d)
+    record = {"check": "bound", "verdict": verdict, "max_degree": d,
+              "bound_limit": limit}
 
-    The bound is stated for n >= 1; with no vertices it is not applicable,
-    and the verdict and limit are null, not a failure.
-    """
-    pres = algebra.generators(complex_)
-    d = algebra.max_degree(pres)
-    verdict = limit = None
-    if complex_.n >= 1:
-        bound = algebra.degree_bound(complex_.n)
-        verdict, limit = bound.holds(d), bound.max_degree()
-    if as_json:
-        _emit_json(
-            {
-                "check": "bound",
-                "verdict": verdict,
-                "max_degree": d,
-                "bound_limit": limit,
-            }
-        )
-    elif verdict is None:
-        print(
-            f"max generator degree {d}; degree bound for n={complex_.n}: "
-            "not applicable (needs n >= 1)"
-        )
-    else:
-        print(
-            f"max generator degree {d} within degree bound for n={complex_.n} "
-            f"(limit {limit}): {str(verdict).lower()}"
-        )
-    return 0
-
-
-def cmd_check(args: argparse.Namespace) -> int:
-    complex_ = _load_complex(args.complex_file)
-    handler = {
-        "bipartite": _check_bipartite,
-        "standard": _check_standard,
-        "gorenstein": _check_gorenstein,
-        "bound": _check_bound,
-    }[args.kind]
-    return handler(complex_, args.json)
-
-
-def cmd_decompose(args: argparse.Namespace) -> int:
-    if getattr(args, "family", None):
-        inst = family_instance(*args.family)
-        complex_ = inst.complex
-        if args.cover:
-            a, k = _parse_cover(args.cover, complex_.n)
+    def text() -> Iterator[str]:
+        if verdict is None:
+            yield (f"max generator degree {d}; degree bound for n={n}: "
+                   "not applicable (needs n >= 1)")
         else:
-            a, k = inst.cover, inst.order
+            yield (f"max generator degree {d} within degree bound for n={n} "
+                   f"(limit {limit}): {str(verdict).lower()}")
+
+    return record, text()
+
+
+_CHECKS = {
+    "bipartite": _check_bipartite,
+    "standard": _check_standard,
+    "gorenstein": _check_gorenstein,
+    "bound": _check_bound,
+}
+
+
+def cmd_check(args: argparse.Namespace) -> Output:
+    return _CHECKS[args.kind](_load_complex(args.complex_file))
+
+
+def cmd_decompose(args: argparse.Namespace) -> Output:
+    if args.family and not args.cover:  # the family's distinguished cover
+        inst = family_instance(*args.family)
+        complex_, a, k = inst.complex, inst.cover, inst.order
     else:
         complex_ = _resolve_complex(args)
         if not args.cover:
             raise ValueError("--cover 'a1,...,an;k' is required")
         a, k = _parse_cover(args.cover, complex_.n)
-    result = decompose(complex_, a, k)
-    if args.json:
-        if result is None:
-            _emit_json({"decomposable": False})
-        else:
-            _emit_json(
-                {
-                    "decomposable": True,
-                    "b": list(result.b),
-                    "i": result.i,
-                    "c": list(result.c),
-                    "j": result.j,
-                }
-            )
-    elif result is None:
-        print("indecomposable")
-    else:
-        print(
-            f"decomposable: {monomial_str(result.b, result.i)} + "
-            f"{monomial_str(result.c, result.j)}"
-        )
-    return 0
+    r = decompose(complex_, a, k)
+    if r is None:
+        return {"decomposable": False}, ("indecomposable",)
+
+    def text() -> Iterator[str]:
+        yield f"decomposable: {monomial_str(r.b, r.i)} + {monomial_str(r.c, r.j)}"
+
+    record = {"decomposable": True, "b": list(r.b), "i": r.i, "c": list(r.c),
+              "j": r.j}
+    return record, text()
 
 
-def cmd_split(args: argparse.Namespace) -> int:
+def cmd_split(args: argparse.Namespace) -> Output:
     complex_ = _load_complex(args.complex_file)
     graph = WeightedGraph.from_complex(complex_)
     a, k = _parse_cover(args.cover, complex_.n)
@@ -365,56 +305,35 @@ def cmd_split(args: argparse.Namespace) -> int:
         parts.append(CoverPoint(tuple(rest), order))
     else:
         if k < 3:
-            print(
-                "error: non-bipartite split needs a cover of order >= 3",
-                file=sys.stderr,
-            )
-            return INPUT_EXIT
+            raise ValueError("non-bipartite split needs a cover of order >= 3")
         eps, rest = split_order2(graph, a, k)
         parts = [CoverPoint(eps, 2), CoverPoint(rest, k - 2)]
-    if args.json:
-        _emit_json({"parts": [{"a": list(p.a), "k": p.k} for p in parts]})
-    else:
-        _print_points(parts)
-    return 0
+    return {"parts": [_point(p) for p in parts]}, _lines(parts)
 
 
-def cmd_skeleton(args: argparse.Namespace) -> int:
+def cmd_skeleton(args: argparse.Namespace) -> Output:
     gens = skeleton_generators(args.n, args.j)
-    if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "basis": [{"a": list(g.a), "k": g.k} for g in gens],
-                "truncated": False,
-            }
-        )
-    else:
-        _print_points(gens)
-    return 0
+    record = {"n": args.n, "basis": [_point(g) for g in gens], "truncated": False}
+    return record, _lines(gens)
 
 
-def cmd_family(args: argparse.Namespace) -> int:
+def cmd_family(args: argparse.Namespace) -> Output:
     inst = family_instance(args.m, args.k)
     data = inst.complex.to_dict()
     data["cover"] = {"a": list(inst.cover), "k": inst.order}
-    data["edges"] = [
-        sorted(v + 1 for v in e) for e in inst.graph.edges
-    ]
-    _emit_json(data)
-    return 0
+    data["edges"] = [sorted(v + 1 for v in e) for e in inst.graph.edges]
+    return data, ()
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
-    bound = algebra.degree_bound(args.n)
-    if args.json:
-        _emit_json({"n": args.n, "max_degree": bound.max_degree()})
-    else:
-        print(
-            f"generator degrees for n={args.n} are provably <= "
-            f"{bound.max_degree()} (d^2*4^n < (n+1)^(n+3))"
-        )
-    return 0
+def cmd_bound(args: argparse.Namespace) -> Output:
+    n = args.n
+    limit = algebra.degree_bound(n).max_degree()
+
+    def text() -> Iterator[str]:
+        yield (f"generator degrees for n={n} are provably <= {limit} "
+               "(d^2*4^n < (n+1)^(n+3))")
+
+    return {"n": n, "max_degree": limit}, text()
 
 
 def _add_family(parser: argparse.ArgumentParser) -> None:
@@ -438,79 +357,80 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex_file", nargs="?")
     _add_family(p)
     p.add_argument("--cap", type=int, help="stop at degree N; exit 3 if cut short")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("symbolic", help="symbolic power of a monomial ideal")
     p.add_argument("ideal_file")
     p.add_argument("-n", dest="order", type=int, required=True)
     p.add_argument("--wrt", help="ideal file to saturate with respect to")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_symbolic)
 
     p = sub.add_parser("power", help="ordinary power of a monomial ideal")
     p.add_argument("ideal_file")
     p.add_argument("-n", dest="order", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("compare", help="symbolic versus ordinary power")
     p.add_argument("ideal_file")
     p.add_argument("-n", dest="order", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("check", help="predicates with witnesses")
     p.add_argument("complex_file")
-    p.add_argument(
-        "kind", choices=["bipartite", "standard", "gorenstein", "bound"]
-    )
-    p.add_argument("--json", action="store_true")
+    p.add_argument("kind", choices=_CHECKS)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", help="split a cover or certify it indecomposable")
     p.add_argument("complex_file", nargs="?")
     _add_family(p)
     p.add_argument("--cover", help="cover as 'a1,...,an;k'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("split", help="constructive cover splittings for graphs")
     p.add_argument("complex_file")
     p.add_argument("--cover", required=True, help="cover as 'a1,...,an;k'")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("skeleton", help="closed-form skeleton generators")
     p.add_argument("n", type=int)
     p.add_argument("j", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_skeleton)
 
     p = sub.add_parser("family", help="emit a family instance as a complex file")
     p.add_argument("m", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_family)
+    p.set_defaults(func=cmd_family, json=True)  # a complex file is JSON
 
     p = sub.add_parser("bound", help="provable degree limit for n vertices")
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bound)
 
+    # --json comes last, after each command's own arguments, in usage and help
+    for p in sub.choices.values():
+        if p.get_default("json") is None:
+            p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        record, lines = args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_EXIT
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
+    if args.json:
+        print(json.dumps(record, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    if record.get("truncated"):
+        print("warning: output truncated at degree cap", file=sys.stderr)
+        return CAP_EXIT
+    return 0
 
 
 if __name__ == "__main__":

@@ -40,20 +40,26 @@ class WeightedComplex:
     ) -> WeightedComplex:
         """Check and canonicalize raw (0-indexed) complex data.
 
-        Rejections: bad vertex count, empty facets, out-of-range vertices,
-        comparable facet pairs, nonpositive or miscounted weights. Facets
-        are sorted by (size, vertex tuple) with weights carried along.
+        Rejections: bad vertex count, empty facets, out-of-range or repeated
+        vertices, comparable facet pairs, nonpositive or miscounted weights.
+        Messages name vertices 1-indexed, as the file does. Facets are
+        sorted by (size, vertex tuple) with weights carried along.
         """
         if n < 0:
             raise InvalidComplex(f"vertex count must be >= 0, got {n}")
-        fs = [frozenset(int(v) for v in f) for f in facets]
-        for f in fs:
+        raw = [[int(v) for v in f] for f in facets]
+        fs = [frozenset(f) for f in raw]
+        for f, vertices in zip(raw, fs):
             if not f:
                 raise InvalidComplex("empty facet")
             bad = [v for v in f if v < 0 or v >= n]
             if bad:
                 raise InvalidComplex(
-                    f"vertex {bad[0]} out of range for vertex count {n}"
+                    f"vertex {bad[0] + 1} out of range for vertex count {n}"
+                )
+            if len(vertices) != len(f):
+                raise InvalidComplex(
+                    f"facet {[v + 1 for v in f]} lists a vertex twice"
                 )
         ws = [1] * len(fs) if weights is None else [int(w) for w in weights]
         if len(ws) != len(fs):
@@ -66,7 +72,8 @@ class WeightedComplex:
         for f, g in combinations(fs, 2):
             if f <= g or g <= f:
                 raise InvalidComplex(
-                    f"comparable facets {sorted(f)} and {sorted(g)}"
+                    f"comparable facets {sorted(v + 1 for v in f)} and "
+                    f"{sorted(v + 1 for v in g)}"
                 )
         order = sorted(range(len(fs)), key=lambda i: _facet_key(fs[i]))
         return cls(

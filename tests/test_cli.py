@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -224,6 +227,29 @@ class TestCheck:
         _, out, _ = run(capsys, "basis", str(path), "--json")
         assert json.loads(out)["summary"]["bound_n"] is None
 
+    @pytest.mark.parametrize(
+        "data", [{"n": 2, "facets": [[1], [2]]}, {"n": 0, "facets": []}]
+    )
+    def test_gorenstein_not_applicable_without_an_edge(self, capsys, tmp_path, data):
+        # the criterion needs a facet with two vertices; valid input all the same
+        path = tmp_path / "no-edge.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "check", str(path), "gorenstein")
+        assert (code, err) == (0, "")
+        assert out == (
+            "gorenstein: not applicable (needs a facet with at least two vertices)\n"
+        )
+        code, out, err = run(capsys, "check", str(path), "gorenstein", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "check": "gorenstein",
+            "verdict": None,
+            "stripped_facets": [],
+            "offending_facets": [],
+        }
+        _, out, _ = run(capsys, "basis", str(path), "--json")
+        assert json.loads(out)["summary"]["gorenstein"] is None
+
     def test_non_graph_bipartite_check_exits_2(self, capsys, tmp_path):
         path = tmp_path / "tetra.json"
         path.write_text(
@@ -398,6 +424,12 @@ MALFORMED_FILES = {
     "string-facets": ("complex", {"n": 3, "facets": "12"}, "facets"),
     "complex-array": ("complex", [[1, 2], [2, 3]], "JSON object"),
     "complex-no-n": ("complex", {"facets": [[1, 2]]}, "missing field 'n'"),
+    "vertex-zero": ("complex", {"n": 2, "facets": [[0, 1]]}, "vertex 0 out of range"),
+    "repeated-vertex": (
+        "complex",
+        {"n": 3, "facets": [[1, 1, 2]]},
+        "facet [1, 1, 2] lists a vertex twice",
+    ),
     "float-exponent": ("ideal", {"n": 2, "gens": [[1.5, 1]]}, "gens"),
     "bool-exponent": ("ideal", {"n": 2, "gens": [[True, 1]]}, "gens"),
     "flat-gens": ("ideal", {"n": 2, "gens": [1, 1]}, "gens"),
@@ -422,6 +454,31 @@ def test_malformed_file_exits_2_naming_the_field(
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and field in err
+
+
+def test_process_exit_codes(tmp_path, triangle_file):
+    # `python -m coveralg.cli`: main's return value is the process status
+    env = dict(os.environ, PYTHONPATH=str(Path(coveralg.__file__).parents[1]))
+
+    def coveralg_process(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "coveralg.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    proc = coveralg_process("bound", "3", "--json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"n": 3, "max_degree": 7}
+    proc = coveralg_process("frobnicate")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("usage: coveralg")
+    proc = coveralg_process("basis", str(tmp_path / "nope.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ")
+    proc = coveralg_process("basis", triangle_file, "--cap", "1")
+    assert proc.returncode == 3
+    assert proc.stdout.splitlines() == ["x2*x3*t", "x1*x3*t", "x1*x2*t"]
+    assert proc.stderr == "warning: output truncated at degree cap\n"
 
 
 class TestUsageErrors:

@@ -54,7 +54,10 @@ class TestValidate:
         assert c.weights == (1, 1, 1)
 
     def test_comparable_facets_rejected(self):
-        with pytest.raises(InvalidComplex, match="comparable"):
+        # messages name vertices 1-indexed, as the file does
+        with pytest.raises(
+            InvalidComplex, match=r"comparable facets \[1\] and \[1, 2\]"
+        ):
             WeightedComplex.validate(2, [(0,), (0, 1)])
 
     def test_zero_weight_rejected(self):
@@ -66,8 +69,19 @@ class TestValidate:
             WeightedComplex.validate(2, [()])
 
     def test_out_of_range_vertex_rejected(self):
-        with pytest.raises(InvalidComplex, match="out of range"):
+        with pytest.raises(
+            InvalidComplex, match="vertex 3 out of range for vertex count 2"
+        ):
             WeightedComplex.validate(2, [(0, 2)])
+        with pytest.raises(InvalidComplex, match="vertex 0 out of range"):
+            WeightedComplex.from_dict({"n": 2, "facets": [[0, 1]]})
+
+    def test_repeated_vertex_rejected(self):
+        # never merged into the facet {1, 2}
+        with pytest.raises(
+            InvalidComplex, match=r"facet \[1, 1, 2\] lists a vertex twice"
+        ):
+            WeightedComplex.from_dict({"n": 3, "facets": [[1, 1, 2]]})
 
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(InvalidComplex, match="weights"):
