@@ -10,18 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from math import isqrt
 from operator import add, or_
 from typing import Iterable
 
-from .complexes import (
-    CoverPoint,
-    WeightedComplex,
-    cover_complex,
-    facet_complex,
-    strip_zero_dim_facets,
-)
-from .cone import build_cone, degree_limit, hilbert_basis
-from .errors import InvalidComplex, NonSquarefreeIdeal, TruncatedPresentation
+from .complexes import CoverPoint, WeightedComplex, cover_complex, facet_complex
+from .cone import build_cone, hilbert_basis
+from .errors import NonSquarefreeIdeal, TruncatedPresentation
 from .monomial import ExpVec, MonomialIdeal, degree_lex_key
 
 
@@ -57,20 +52,9 @@ def max_degree(presentation: AlgebraPresentation) -> int:
     return max((g.k for g in presentation.generators), default=0)
 
 
-def veronese(complex_: WeightedComplex, c: int) -> WeightedComplex:
-    """Complex whose cover algebra is the c-th Veronese: weights scaled by c."""
-    if c < 1:
-        raise ValueError(f"Veronese index must be >= 1, got {c}")
-    return WeightedComplex(
-        complex_.n,
-        complex_.facets,
-        tuple(w * c for w in complex_.weights),
-    )
-
-
 @dataclass(frozen=True)
 class GorensteinReport:
-    verdict: bool
+    verdict: bool | None
     stripped: tuple[tuple[int, int], ...]
     offending: tuple[tuple[tuple[int, ...], int], ...]
 
@@ -79,43 +63,29 @@ def gorenstein_report(complex_: WeightedComplex) -> GorensteinReport:
     """Gorenstein test with the singleton-facet reduction applied first.
 
     After dropping zero-dimensional facets, the algebra is Gorenstein iff
-    every remaining facet F has weight |F| - 1. Complexes whose facets are
-    all singletons fall outside the criterion and are rejected.
+    every remaining facet F has weight |F| - 1. The criterion needs a facet
+    with at least two vertices; without one the verdict is None.
     """
-    reduced, stripped = strip_zero_dim_facets(complex_)
-    if not reduced.facets:
-        raise InvalidComplex(
-            "Gorenstein criterion needs a facet with at least two vertices"
-        )
+    facets = list(zip(complex_.facets, complex_.weights))
+    stripped = tuple((v, w) for f, w in facets if len(f) == 1 for v in f)
     offending = tuple(
         (tuple(sorted(f)), w)
-        for f, w in zip(reduced.facets, reduced.weights)
-        if w != len(f) - 1
+        for f, w in facets
+        if len(f) >= 2 and w != len(f) - 1
     )
-    return GorensteinReport(not offending, stripped, offending)
+    verdict = not offending if len(stripped) < len(facets) else None
+    return GorensteinReport(verdict, stripped, offending)
 
 
-@dataclass(frozen=True)
-class DegreeBound:
-    """The generator degree bound d < (n+1)^((n+3)/2) / 2^n, for n >= 1.
+def degree_limit(n: int) -> int:
+    """Largest degree d the generator bound d < (n+1)^((n+3)/2) / 2^n admits.
 
-    Its exact integer form lives in `cone.degree_limit`.
+    Exactly: the largest d with d^2 * 4^n < (n+1)^(n+3). The bound is
+    stated for n >= 1.
     """
-
-    n: int
-
-    def holds(self, d: int) -> bool:
-        return d <= self.max_degree()
-
-    def max_degree(self) -> int:
-        """Largest degree the bound admits."""
-        return degree_limit(self.n)
-
-
-def degree_bound(n: int) -> DegreeBound:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return DegreeBound(n)
+    return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
 
 def _bits(flags: Iterable[object]) -> int:

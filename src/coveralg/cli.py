@@ -1,7 +1,7 @@
 """Batch command line front end.
 
 Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 usage error, 2 invalid input, 3 the degree cap cut the computation
+1 usage error, 2 invalid input, 3 the degree cap may have cut the output
 short, 4 internal error (a failed invariant: a bug, never bad input).
 Identical invocations on identical inputs produce byte-identical output.
 Each command returns its JSON record and its text lines, the lines as a
@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from . import algebra
 from .complexes import CoverPoint, WeightedComplex, skeleton_generators
-from .errors import DimensionMismatch, InternalError, InvalidComplex
+from .errors import DimensionMismatch, InternalError
 from .graphs import (
     WeightedGraph, bipartite_split, bipartition, decompose, family_instance,
     split_order2,
@@ -61,7 +62,7 @@ def _load_ideal(path: str) -> MonomialIdeal:
 def _parse_cover(text: str, n: int) -> tuple[tuple[int, ...], int]:
     try:
         coords, order = text.split(";")
-        a = tuple(int(x) for x in coords.split(","))
+        a = tuple(int(x) for x in coords.split(",")) if coords else ()
         k = int(order)
     except ValueError as exc:
         raise ValueError(f"cover must look like '1,1,0;2', got {text!r}") from exc
@@ -91,18 +92,6 @@ def _standard_graded(d: int) -> bool:
     return d <= 1
 
 
-def _gorenstein(complex_: WeightedComplex) -> algebra.GorensteinReport | None:
-    """The Gorenstein report, or None where the criterion does not apply.
-
-    It needs a facet with two or more vertices; without one the verdict is
-    null, not an input error.
-    """
-    try:
-        return algebra.gorenstein_report(complex_)
-    except InvalidComplex:
-        return None
-
-
 def _bound(n: int, d: int) -> tuple[bool | None, int | None]:
     """Verdict and limit of the degree bound for max generator degree d.
 
@@ -110,19 +99,18 @@ def _bound(n: int, d: int) -> tuple[bool | None, int | None]:
     """
     if n < 1:
         return None, None
-    bound = algebra.degree_bound(n)
-    return bound.holds(d), bound.max_degree()
+    limit = algebra.degree_limit(n)
+    return d <= limit, limit
 
 
 def _summary(pres: algebra.AlgebraPresentation) -> dict:
     d = algebra.max_degree(pres)
-    report = _gorenstein(pres.complex)
     verdict, _ = _bound(pres.n, d)
     word = "satisfied" if verdict else "violated"
     return {
         "max_degree": d,
         "standard_graded": _standard_graded(d),
-        "gorenstein": None if report is None else report.verdict,
+        "gorenstein": algebra.gorenstein_report(pres.complex).verdict,
         "bound_n": None if verdict is None else f"(n+1)^((n+3)/2)/2^n {word}",
     }
 
@@ -211,10 +199,10 @@ def _check_standard(complex_: WeightedComplex) -> Output:
 
 
 def _check_gorenstein(complex_: WeightedComplex) -> Output:
-    report = _gorenstein(complex_)
+    report = algebra.gorenstein_report(complex_)
     record: dict = {"check": "gorenstein", "verdict": None, "stripped_facets": [],
                     "offending_facets": []}
-    if report is None:
+    if report.verdict is None:
         return record, (
             "gorenstein: not applicable (needs a facet with at least two vertices)",
         )
@@ -327,7 +315,7 @@ def cmd_family(args: argparse.Namespace) -> Output:
 
 def cmd_bound(args: argparse.Namespace) -> Output:
     n = args.n
-    limit = algebra.degree_bound(n).max_degree()
+    limit = algebra.degree_limit(n)
 
     def text() -> Iterator[str]:
         yield (f"generator degrees for n={n} are provably <= {limit} "
@@ -346,6 +334,7 @@ def _add_family(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="coveralg",

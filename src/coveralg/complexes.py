@@ -164,13 +164,6 @@ def cover_complex(complex_: WeightedComplex) -> WeightedComplex:
     return WeightedComplex.validate(complex_.n, minimal)
 
 
-def skeleton(n: int, j: int) -> WeightedComplex:
-    """The j-skeleton of the full simplex: all (j+1)-subsets of the vertices."""
-    if not 0 <= j <= n - 2:
-        raise ValueError(f"need 0 <= j <= n-2, got n={n}, j={j}")
-    return WeightedComplex.validate(n, combinations(range(n), j + 1))
-
-
 def skeleton_generators(n: int, j: int) -> tuple[CoverPoint, ...]:
     """Closed-form algebra generators for skeleton(n, j).
 
@@ -189,25 +182,3 @@ def skeleton_generators(n: int, j: int) -> tuple[CoverPoint, ...]:
             out.append(CoverPoint(tuple(v), q))
     out.sort(key=lambda p: (p.k, p.a))
     return tuple(out)
-
-
-def strip_zero_dim_facets(
-    complex_: WeightedComplex,
-) -> tuple[WeightedComplex, tuple[tuple[int, int], ...]]:
-    """Split off singleton facets.
-
-    Returns the complex of facets with >= 2 vertices (possibly with no
-    facets at all) and the stripped (vertex, weight) pairs.
-    """
-    keep_f, keep_w, dropped = [], [], []
-    for f, w in zip(complex_.facets, complex_.weights):
-        if len(f) >= 2:
-            keep_f.append(f)
-            keep_w.append(w)
-        else:
-            (v,) = f
-            dropped.append((v, w))
-    return (
-        WeightedComplex.validate(complex_.n, keep_f, keep_w),
-        tuple(dropped),
-    )

@@ -26,33 +26,19 @@ All arithmetic is on Python ints; no floating point enters any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isqrt
+from math import inf
 from typing import Sequence
 
 from .complexes import WeightedComplex
-from .errors import DimensionMismatch
 
 LatticePoint = tuple[int, ...]
 Element = tuple[int, int]  # packed slack vector, total degree
-
-
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
 class ConeSystem:
     dim: int
     rows: tuple[tuple[int, ...], ...]
-
-    def contains(self, p: Sequence[int]) -> bool:
-        """True iff every inequality row evaluates >= 0 on p."""
-        pv = tuple(int(x) for x in p)
-        if len(pv) != self.dim:
-            raise DimensionMismatch(
-                f"point of length {len(pv)} in a dimension-{self.dim} system"
-            )
-        return all(dot(row, pv) >= 0 for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -83,11 +69,6 @@ def build_cone(complex_: WeightedComplex) -> ConeSystem:
 
 def _point_key(p: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return (p[-1], tuple(p[:-1]))
-
-
-def degree_limit(n: int) -> int:
-    """Largest d with d^2 * 4^n < (n+1)^(n+3), the generator degree bound."""
-    return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
 
 # Bits per field when a completion starts, its guard bit included; a cut

@@ -5,10 +5,11 @@ enumeration, exhaustive scans) or by a second algorithm (symbolic powers
 by intersecting prime powers, and the primal Hilbert-basis engine at the
 end) without calling the code paths under test, so a test comparing the
 two sides is a genuine cross-check. Helpers that only the tests use live
-here too: the Bareiss determinant and the 0/1 determinant bound of the
-primal engine, the odd-cycle domination filter of the graph tests, the
-search for a Veronese degree d by comparing powers of ideals, and the
-yes/no forms of the standard-graded and Gorenstein verdicts.
+here too: the skeletons of a simplex, Veronese weight scaling, cone
+membership row by row, the Bareiss determinant and the 0/1 determinant
+bound of the primal engine, the odd-cycle domination filter of the graph
+tests, the search for a Veronese degree d by comparing powers of ideals,
+and the yes/no forms of the standard-graded and Gorenstein verdicts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterable, Sequence
 
 from coveralg.algebra import generators, gorenstein_report, max_degree
 from coveralg.complexes import CoverPoint, WeightedComplex, is_cover
-from coveralg.cone import ConeSystem, dot
+from coveralg.cone import ConeSystem
+from coveralg.errors import DimensionMismatch
 from coveralg.graphs import Decomposition, WeightedGraph
 from coveralg.monomial import MonomialIdeal
 
@@ -90,6 +92,41 @@ def minimal_hitting_sets(n, facets):
     return {
         h for h in hitting if not any(other < h for other in hitting)
     }
+
+
+# --- complexes and cones by definition --------------------------------------
+
+
+def skeleton(n: int, j: int) -> WeightedComplex:
+    """The j-skeleton of the full simplex: all (j+1)-subsets of the vertices."""
+    if not 0 <= j <= n - 2:
+        raise ValueError(f"need 0 <= j <= n-2, got n={n}, j={j}")
+    return WeightedComplex.validate(n, combinations(range(n), j + 1))
+
+
+def veronese(complex_: WeightedComplex, c: int) -> WeightedComplex:
+    """Complex whose cover algebra is the c-th Veronese: weights scaled by c."""
+    if c < 1:
+        raise ValueError(f"Veronese index must be >= 1, got {c}")
+    return WeightedComplex(
+        complex_.n,
+        complex_.facets,
+        tuple(w * c for w in complex_.weights),
+    )
+
+
+def dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def in_cone(system: ConeSystem, p: Sequence[int]) -> bool:
+    """True iff every inequality row of the system evaluates >= 0 on p."""
+    pv = tuple(int(x) for x in p)
+    if len(pv) != system.dim:
+        raise DimensionMismatch(
+            f"point of length {len(pv)} in a dimension-{system.dim} system"
+        )
+    return all(dot(row, pv) >= 0 for row in system.rows)
 
 
 # --- odd cycle domination, a graph filter ---------------------------------
@@ -259,7 +296,7 @@ def is_standard_graded(complex_: WeightedComplex) -> bool:
     return max_degree(generators(complex_)) <= 1
 
 
-def is_gorenstein(complex_: WeightedComplex) -> bool:
+def is_gorenstein(complex_: WeightedComplex) -> bool | None:
     return gorenstein_report(complex_).verdict
 
 
@@ -404,8 +441,9 @@ def _solve_square(matrix, rhs):
 # incremental double description for the extreme rays, a placing
 # triangulation, the lattice points of each simplicial piece's half-open
 # fundamental parallelepiped (Hermite form plus adjugate), and an all-pairs
-# reduction of the candidates. It shares only `dot` with the package;
-# test_intlinalg checks `det` against cofactor expansion.
+# reduction of the candidates. It shares no arithmetic with the package,
+# only the `ConeSystem` rows it reads; test_intlinalg checks `det`
+# against cofactor expansion.
 
 Ray = tuple[int, ...]
 LatticePoint = tuple[int, ...]

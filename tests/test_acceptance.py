@@ -15,15 +15,12 @@ import pytest
 
 import oracles
 from coveralg import algebra
-from coveralg.complexes import (
-    WeightedComplex,
-    skeleton,
-    skeleton_generators,
-)
+from coveralg.complexes import WeightedComplex, skeleton_generators
 from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InvalidComplex
 from coveralg.graphs import WeightedGraph, bipartition, decompose, family_instance
 from coveralg.monomial import MonomialIdeal
+from oracles import in_cone, skeleton, veronese
 
 
 def _report(num: int, name: str, detail: str) -> None:
@@ -247,7 +244,7 @@ def test_criterion_09_normality_sampling(family22_basis):
                 for f, w in zip(c.facets, c.weights)
             )
             p = (*a, rng.randint(0, min(kmax, 20)))
-            assert system.contains(p)
+            assert in_cone(system, p)
             combo = oracles.decompose_lattice_point(basis.points, p)
             assert combo is not None, f"{name}: {p} does not decompose"
             total = [0] * (c.n + 1)
@@ -279,18 +276,18 @@ def test_criterion_10_degree_bounds_and_veronese(family22_basis):
 
     inst, fam_basis, _ = family22_basis
     fam_degree = max(p[-1] for p in fam_basis.points)
-    assert algebra.degree_bound(inst.complex.n).holds(fam_degree)
+    assert fam_degree <= algebra.degree_limit(inst.complex.n)
 
     checked_bound = 1
     checked_mono = 0
     for c in instances:
         d = algebra.max_degree(algebra.generators(c))
-        assert algebra.degree_bound(c.n).holds(d)
+        assert d <= algebra.degree_limit(c.n)
         checked_bound += 1
         if c.n <= 5:
             for scale in range(1, 7):
                 scaled = algebra.max_degree(
-                    algebra.generators(algebra.veronese(c, scale))
+                    algebra.generators(veronese(c, scale))
                 )
                 assert scaled <= d
                 checked_mono += 1

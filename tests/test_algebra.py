@@ -7,16 +7,11 @@ import pytest
 
 import oracles
 from coveralg import algebra
-from coveralg.complexes import (
-    CoverPoint,
-    WeightedComplex,
-    skeleton,
-    skeleton_generators,
-)
+from coveralg.complexes import CoverPoint, WeightedComplex, skeleton_generators
 from coveralg.errors import InvalidComplex, TruncatedPresentation
 from coveralg.graphs import WeightedGraph, bipartition
 from coveralg.monomial import MonomialIdeal
-from oracles import cover_ideal, det
+from oracles import cover_ideal, det, skeleton, veronese
 
 
 def triangle():
@@ -98,15 +93,15 @@ class TestMaxDegree:
 
 class TestVeronese:
     def test_identity(self):
-        assert algebra.veronese(triangle(), 1) == triangle()
+        assert veronese(triangle(), 1) == triangle()
 
     def test_doubled_triangle_is_standard(self):
-        doubled = algebra.veronese(triangle(), 2)
+        doubled = veronese(triangle(), 2)
         assert doubled.weights == (2, 2, 2)
         assert algebra.max_degree(algebra.generators(doubled)) == 1
 
     def test_tripled_triangle_is_not_standard(self):
-        tripled = algebra.veronese(triangle(), 3)
+        tripled = veronese(triangle(), 3)
         assert algebra.max_degree(algebra.generators(tripled)) >= 2
 
     def test_monotonicity_of_max_degree(self):
@@ -116,7 +111,7 @@ class TestVeronese:
             base = algebra.max_degree(algebra.generators(c))
             for scale in range(1, 7):
                 scaled = algebra.max_degree(
-                    algebra.generators(algebra.veronese(c, scale))
+                    algebra.generators(veronese(c, scale))
                 )
                 assert scaled <= base
 
@@ -126,7 +121,7 @@ class TestVeronese:
             c = random_antichain_complex(rng, rng.randint(2, 4), max_weight=2)
             d = algebra.max_degree(algebra.generators(c))
             assert any(
-                algebra.max_degree(algebra.generators(algebra.veronese(c, s)))
+                algebra.max_degree(algebra.generators(veronese(c, s)))
                 == 1
                 for s in range(1, max(2, d) + 1)
             )
@@ -136,7 +131,7 @@ class TestIsStandardGraded:
     def test_examples(self):
         assert not oracles.is_standard_graded(triangle())
         assert oracles.is_standard_graded(square())
-        assert oracles.is_standard_graded(algebra.veronese(triangle(), 2))
+        assert oracles.is_standard_graded(veronese(triangle(), 2))
 
     def test_weighted_bipartite_graphs_are_standard(self):
         rng = random.Random(17)
@@ -208,31 +203,47 @@ class TestGorenstein:
         report = algebra.gorenstein_report(c)
         assert report.verdict
         assert report.stripped == ((0, 4),)
+        c = WeightedComplex.validate(3, [(0,), (1, 2)], [2, 3])
+        report = algebra.gorenstein_report(c)
+        assert report.stripped == ((0, 2),)
+        assert report.offending == (((1, 2), 3),)
+        assert report.verdict is False
 
-    def test_all_singletons_rejected(self):
+    def test_pure_graph_strips_nothing(self):
+        report = algebra.gorenstein_report(triangle())
+        assert report.stripped == ()
+        assert report.offending == ()
+        assert report.verdict is True
+
+    def test_all_singletons_not_applicable(self):
         c = WeightedComplex.validate(2, [(0,), (1,)])
-        with pytest.raises(InvalidComplex):
-            oracles.is_gorenstein(c)
+        report = algebra.gorenstein_report(c)
+        assert report.verdict is None
+        assert report.stripped == ((0, 1), (1, 1))
+        assert oracles.is_gorenstein(c) is None
+        report = algebra.gorenstein_report(WeightedComplex.validate(0, []))
+        assert report.verdict is None
+        assert report.stripped == report.offending == ()
 
 
 class TestDegreeBound:
     def test_small_values(self):
-        assert algebra.degree_bound(3).max_degree() == 7
-        assert algebra.degree_bound(2).max_degree() == 3
-        assert algebra.degree_bound(3).holds(7)
-        assert not algebra.degree_bound(3).holds(8)
+        assert algebra.degree_limit(3) == 7
+        assert algebra.degree_limit(2) == 3
 
     def test_family_instance_value(self):
-        bound = algebra.degree_bound(7)
-        assert bound.holds(7)
+        assert algebra.degree_limit(7) >= 7
         assert 7 * 7 * 4**7 == 802816 < 8**10 == 1073741824
 
     def test_exact_comparator_matches_max_degree(self):
-        for n in range(1, 12):
-            bound = algebra.degree_bound(n)
-            limit = bound.max_degree()
-            assert bound.holds(limit)
-            assert not bound.holds(limit + 1)
+        for n in range(1, 41):
+            limit = algebra.degree_limit(n)
+            assert limit**2 * 4**n < (n + 1) ** (n + 3) <= (limit + 1) ** 2 * 4**n
+
+    def test_needs_a_vertex(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+                algebra.degree_limit(n)
 
 
 class TestDeterminantBound:

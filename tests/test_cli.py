@@ -49,10 +49,27 @@ def ideal_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def empty_file(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 0, "facets": []}), encoding="utf-8")
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def coveralg_process(*argv, **env):
+    """`python -m coveralg.cli argv` in a fresh interpreter."""
+    path = str(Path(coveralg.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "coveralg.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
 
 
 class TestBasis:
@@ -307,6 +324,15 @@ class TestDecompose:
         assert code == 2
         assert err
 
+    def test_no_vertices_cover(self, capsys, empty_file):
+        code, out, err = run(capsys, "decompose", empty_file, "--cover", ";2")
+        assert (code, out, err) == (0, "decomposable: t + t\n", "")
+
+    def test_empty_coordinates_for_vertices_exits_2(self, capsys, triangle_file):
+        code, out, err = run(capsys, "decompose", triangle_file, "--cover", ";2")
+        assert (code, out) == (2, "")
+        assert err == "error: cover has 0 coordinates for 3 vertices\n"
+
 
 class TestSplit:
     def test_bipartite_chain(self, capsys, square_file):
@@ -337,6 +363,10 @@ class TestSplit:
         assert code == 2
         assert out == ""
         assert "is not a cover of order 3" in err
+
+    def test_no_vertices_cover(self, capsys, empty_file):
+        code, out, err = run(capsys, "split", empty_file, "--cover", ";3")
+        assert (code, out, err) == (0, "t\nt\nt\n", "")
 
     def test_non_bipartite_low_order_exits_2(self, capsys, triangle_file):
         code, _, err = run(
@@ -458,14 +488,6 @@ def test_malformed_file_exits_2_naming_the_field(
 
 def test_process_exit_codes(tmp_path, triangle_file):
     # `python -m coveralg.cli`: main's return value is the process status
-    env = dict(os.environ, PYTHONPATH=str(Path(coveralg.__file__).parents[1]))
-
-    def coveralg_process(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "coveralg.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-
     proc = coveralg_process("bound", "3", "--json")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout) == {"n": 3, "max_degree": 7}
@@ -479,6 +501,34 @@ def test_process_exit_codes(tmp_path, triangle_file):
     assert proc.returncode == 3
     assert proc.stdout.splitlines() == ["x2*x3*t", "x1*x3*t", "x1*x2*t"]
     assert proc.stderr == "warning: output truncated at degree cap\n"
+
+
+def test_calls_in_one_process_match_fresh_processes(
+    capsys, monkeypatch, triangle_file, empty_file
+):
+    # one parser serves every call of a process; each call must still read
+    # its own arguments and defaults, as a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at this width
+    calls = [
+        ["basis", triangle_file, "--cap", "1"],
+        ["basis", triangle_file],
+        ["family", "2", "2"],
+        ["bound", "3"],
+        ["decompose", "--family", "2", "2", "--json"],
+        ["decompose", empty_file, "--cover", ";2"],
+        ["bound", "0"],
+        ["check", triangle_file, "nope"],
+        ["basis", "--help"],
+        ["basis", triangle_file, "--json"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        proc = coveralg_process(*argv, COLUMNS="80")
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
 class TestUsageErrors:

@@ -12,13 +12,11 @@ from coveralg.complexes import (
     cover_complex,
     facet_complex,
     is_cover,
-    skeleton,
     skeleton_generators,
-    strip_zero_dim_facets,
 )
 from coveralg.errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
 from coveralg.monomial import MonomialIdeal
-from oracles import cover_ideal, module_generators, prime_power_ideal
+from oracles import cover_ideal, module_generators, prime_power_ideal, skeleton
 
 
 def triangle():
@@ -360,23 +358,3 @@ class TestSkeletonGenerators:
     def test_count_from_binomials(self):
         got = skeleton_generators(5, 2)
         assert len(got) == 16  # C(5,3) + C(5,4) + C(5,5)
-
-
-class TestStripZeroDimFacets:
-    def test_mixed(self):
-        c = WeightedComplex.validate(3, [(0,), (1, 2)], [2, 3])
-        reduced, dropped = strip_zero_dim_facets(c)
-        assert reduced.facets == (frozenset({1, 2}),)
-        assert reduced.weights == (3,)
-        assert dropped == ((0, 2),)
-
-    def test_pure_graph_unchanged(self):
-        reduced, dropped = strip_zero_dim_facets(triangle())
-        assert reduced == triangle()
-        assert dropped == ()
-
-    def test_all_singletons_leaves_empty_complex(self):
-        c = WeightedComplex.validate(2, [(0,), (1,)])
-        reduced, dropped = strip_zero_dim_facets(c)
-        assert reduced.facets == ()
-        assert len(dropped) == 2

@@ -5,8 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from coveralg.cone import dot
-from oracles import adjugate, cross_normal, det, hnf_columns, primitive, rank
+from oracles import adjugate, cross_normal, det, dot, hnf_columns, primitive, rank
 
 
 def fraction_det(mat):
