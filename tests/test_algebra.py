@@ -203,19 +203,8 @@ class TestGorenstein:
         report = algebra.gorenstein_report(c)
         assert report.verdict
         assert report.stripped == ((0, 4),)
-        c = WeightedComplex.validate(3, [(0,), (1, 2)], [2, 3])
-        report = algebra.gorenstein_report(c)
-        assert report.stripped == ((0, 2),)
-        assert report.offending == (((1, 2), 3),)
-        assert report.verdict is False
 
-    def test_pure_graph_strips_nothing(self):
-        report = algebra.gorenstein_report(triangle())
-        assert report.stripped == ()
-        assert report.offending == ()
-        assert report.verdict is True
-
-    def test_all_singletons_not_applicable(self):
+    def test_all_singletons_rejected(self):
         c = WeightedComplex.validate(2, [(0,), (1,)])
         report = algebra.gorenstein_report(c)
         assert report.verdict is None

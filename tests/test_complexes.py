@@ -5,7 +5,7 @@ import random
 import pytest
 
 import oracles
-from coveralg.algebra import squarefree_symbolic_power
+from coveralg.algebra import gorenstein_report, squarefree_symbolic_power
 from coveralg.complexes import (
     CoverPoint,
     WeightedComplex,
@@ -358,3 +358,27 @@ class TestSkeletonGenerators:
     def test_count_from_binomials(self):
         got = skeleton_generators(5, 2)
         assert len(got) == 16  # C(5,3) + C(5,4) + C(5,5)
+
+
+class TestStripZeroDimFacets:
+    """Zero-dimensional facets are dropped inside `gorenstein_report`."""
+
+    def test_mixed(self):
+        c = WeightedComplex.validate(3, [(0,), (1, 2)], [2, 3])
+        report = gorenstein_report(c)
+        assert report.stripped == ((0, 2),)
+        assert report.offending == (((1, 2), 3),)
+        assert report.verdict is False
+
+    def test_pure_graph_unchanged(self):
+        report = gorenstein_report(triangle())
+        assert report.stripped == ()
+        assert report.offending == ()
+        assert report.verdict is True
+
+    def test_all_singletons_leaves_empty_complex(self):
+        c = WeightedComplex.validate(2, [(0,), (1,)])
+        report = gorenstein_report(c)
+        assert len(report.stripped) == 2
+        assert report.offending == ()
+        assert report.verdict is None
