@@ -11,13 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
-from operator import add, or_
+from operator import itemgetter, or_
 from typing import Iterable
 
 from .complexes import CoverPoint, WeightedComplex, cover_complex, facet_complex
 from .cone import build_cone, hilbert_basis
-from .errors import NonSquarefreeIdeal, TruncatedPresentation
-from .monomial import ExpVec, MonomialIdeal, degree_lex_key
+from .errors import InternalError, NonSquarefreeIdeal, TruncatedPresentation
+from .monomial import ExpVec, MonomialIdeal, Packing
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,20 @@ def generators(
     complex_: WeightedComplex,
     degree_cap: int | None = None,
 ) -> AlgebraPresentation:
-    """Minimal algebra generators: positive-degree Hilbert basis points."""
+    """Minimal algebra generators: positive-degree Hilbert basis points.
+
+    The algebra of a graph with unit weights is generated in degree <= 2
+    (Herzog, Hibi and Trung, Adv. Math. 210 (2007)), so there a cap of 2
+    or more cuts nothing off and the presentation is not truncated.
+    """
     basis = hilbert_basis(build_cone(complex_), degree_cap)
     gens = tuple(
         CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0
     )
-    return AlgebraPresentation(complex_, gens, basis.truncated)
+    truncated = basis.truncated and not (degree_cap >= 2 and all(
+        len(f) == 2 and w == 1 for f, w in zip(complex_.facets, complex_.weights)
+    ))
+    return AlgebraPresentation(complex_, gens, truncated)
 
 
 def max_degree(presentation: AlgebraPresentation) -> int:
@@ -125,15 +133,14 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         return ideal
     cover = cover_complex(facet_complex(ideal))
     primes = cover.facets
-    gens = [
-        (
-            g.a,
-            g.k,
-            _bits(sum(g.a[v] for v in p) == g.k for p in primes),
-            _bits(g.a),
-        )
-        for g in generators(cover, k).generators
-    ]
+    # a(P) read off a + (0,): with index n too, a getter returns a tuple
+    getters = [itemgetter(ideal.n, *p) for p in primes]
+    packing = Packing(ideal.n, k)  # a minimal j-cover has coordinates <= j
+    gens = []
+    for g in generators(cover, k).generators:
+        padded = g.a + (0,)
+        tight = _bits(sum(a_p(padded)) == g.k for a_p in getters)
+        gens.append((packing.pack(g.a), g.k, tight, _bits(g.a)))
     prime_masks = [sum(1 << v for v in p) for p in primes]
     reach: dict[int, int] = {}  # tight primes -> the vertices they contain
 
@@ -145,9 +152,9 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         return reach[tight]
 
     # S_j: minimal j-cover -> (tight primes, support, index of last summand)
-    sums = [{(0,) * ideal.n: ((1 << len(primes)) - 1, 0, 0)}]
+    sums = [{0: ((1 << len(primes)) - 1, 0, 0)}]
     for j in range(1, k + 1):
-        level: dict[ExpVec, tuple[int, int, int]] = {}
+        level: dict[int, tuple[int, int, int]] = {}
         for i, (a, deg, g_tight, g_support) in enumerate(gens):
             if deg > j:
                 continue
@@ -157,9 +164,11 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
                 tight = g_tight & s_tight
                 support = g_support | s_support
                 if not support & ~reached(tight):
-                    level.setdefault(tuple(map(add, a, s)), (tight, support, i))
+                    level.setdefault(a + s, (tight, support, i))
+        if reduce(or_, level, 0) & packing.guards:
+            raise InternalError(f"a minimal {j}-cover overflowed its field")
         sums.append(level)
-    return MonomialIdeal(ideal.n, tuple(sorted(sums[k], key=degree_lex_key)))
+    return MonomialIdeal(ideal.n, tuple(map(packing.unpack, sorted(sums[k]))))
 
 
 @dataclass(frozen=True)
@@ -176,12 +185,11 @@ def compare_powers(ideal: MonomialIdeal, k: int) -> PowerComparison:
     """
     if k < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    ordinary = ideal.power(k)
-    symbolic = squarefree_symbolic_power(ideal, k)
-    if ordinary == symbolic:
-        return PowerComparison(True, None)
-    missing = sorted(
-        (g for g in symbolic.gens if not ordinary.contains(g)),
-        key=degree_lex_key,
-    )
-    return PowerComparison(False, missing[0])
+    symbolic = squarefree_symbolic_power(ideal, k)  # refuses a non-squarefree I
+    ordinary = set(ideal.power(k).gens)
+    # I^k lies in I^(k). So if a generator g of I^(k) lies in I^k, a
+    # generator h of I^k divides g and a generator of I^(k) divides h; in
+    # an antichain that one is g, so g = h. A generator of I^(k) lies in
+    # I^k exactly when it generates I^k too.
+    witness = next((g for g in symbolic.gens if g not in ordinary), None)
+    return PowerComparison(witness is None, witness)

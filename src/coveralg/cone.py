@@ -30,6 +30,7 @@ from math import inf
 from typing import Sequence
 
 from .complexes import WeightedComplex
+from .monomial import guard_bits
 
 LatticePoint = tuple[int, ...]
 Element = tuple[int, int]  # packed slack vector, total degree
@@ -74,11 +75,6 @@ def _point_key(p: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 # Bits per field when a completion starts, its guard bit included; a cut
 # that overflows a field doubles the width of every field and starts over.
 _START_WIDTH = 8
-
-
-def _guards(fields: int, width: int) -> int:
-    """The guard bit, the top bit, of each of the lowest `fields` fields."""
-    return sum(1 << (i * width + width - 1) for i in range(fields))
 
 
 def _unpack(x: int, fields: int, width: int) -> list[int]:
@@ -129,7 +125,7 @@ def _cut(
     mask = (1 << width) - 1
     top = mask >> 1  # largest value a field holds
     shift = fields * width  # where the |lam| field starts
-    guards = _guards(fields + 1, width)
+    guards = guard_bits(fields + 1, width)
     t_at = (d - 1) * width
     terms = [(i * width, c) for i, c in enumerate(row) if c]
     sides: dict[int, list[int]] = {1: [], -1: []}  # packed slack and |lam|

@@ -5,12 +5,22 @@ exponent vectors under componentwise <=, sorted by (total degree, lex) so
 that equal ideals compare equal and output is reproducible bit for bit.
 The zero ideal has no generators; the unit ideal is generated by the zero
 vector. Values are immutable and every operation returns a new ideal.
+
+Inside an operation each vector is one int (`Packing`): the total degree
+on top, then x1 down to xn in fields with a guard bit on top, so int
+order is (degree, lex) order, a product is one addition, and g divides v
+exactly when ((v | H) - g) & H == H for the guard bits H. The field
+width is fixed up front from the largest value the operation can make,
+max(f) + max(g) for a product and k * max for a k-th power, so nothing
+widens or starts over; a sum that sets a guard bit is a bug and raises
+`InternalError`. The degree, the top field, needs no bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
+from itertools import chain
+from operator import le, lshift
 from typing import Iterable
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
@@ -18,35 +28,74 @@ from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 ExpVec = tuple[int, ...]
 
 
-def degree_lex_key(v: ExpVec) -> tuple[int, ExpVec]:
-    return (sum(v), v)
-
-
 def divides(f: ExpVec, m: ExpVec) -> bool:
     """True iff x^f divides x^m, i.e. f <= m componentwise."""
     return all(map(le, f, m))
 
 
-def minimal_elements(vectors: Iterable[ExpVec]) -> tuple[ExpVec, ...]:
-    """Distinct vectors that lie above no other one, in (degree, lex) order.
+def guard_bits(fields: int, width: int) -> int:
+    """The guard bit, the top bit, of each of the lowest `fields` fields."""
+    return sum(1 << (i * width + width - 1) for i in range(fields))
 
-    If g <= v componentwise and g != v, then sum(g) < sum(v): a vector can
-    only lie above one of strictly lower total degree. So one pass in
-    (degree, lex) order tests each vector against the kept vectors of
-    lower degree only, never against those of its own degree; vectors
-    that all share one degree need no test at all.
-    """
-    lower: list[ExpVec] = []  # kept vectors of lower degree than v
-    level: list[ExpVec] = []  # kept vectors of v's degree
-    degree: int | None = None
-    for d, v in sorted((sum(v), v) for v in set(vectors)):
-        if d != degree:
-            degree = d
-            lower += level
-            level = []
-        if not any(all(map(le, g, v)) for g in lower):
-            level.append(v)
-    return tuple(lower + level)
+
+class Packing:
+    """Exponent vectors of n variables as ints whose fields hold values <= top."""
+
+    def __init__(self, n: int, top: int):
+        width = top.bit_length() + 1  # the values, then the guard bit
+        self.shifts = tuple(range((n - 1) * width, -1, -width))  # x1 highest
+        self.degree_at = n * width
+        self.guards = guard_bits(n, width)
+        self.mask = (1 << width) - 1
+
+    def pack(self, v: ExpVec) -> int:
+        return sum(map(lshift, v, self.shifts), sum(v) << self.degree_at)
+
+    def unpack(self, x: int) -> ExpVec:
+        return tuple(map(self.mask.__and__, map(x.__rshift__, self.shifts)))
+
+    def minimal(self, packed: Iterable[int]) -> list[int]:
+        """The distinct packed vectors above no other one, in (degree, lex) order.
+
+        If g <= v componentwise and g != v, then g has the lower total
+        degree: a vector can only lie above one of strictly lower degree.
+        So one pass in int order tests each vector against the kept
+        vectors of lower degree only, never against those of its own
+        degree; vectors that all share one degree need no test at all.
+        """
+        guards, at = self.guards, self.degree_at
+        lower: list[int] = []  # kept vectors of lower degree than v
+        level: list[int] = []  # kept vectors of v's degree
+        degree = -1
+        for v in sorted(set(packed)):
+            if v & guards:
+                raise InternalError(f"a packed sum overflowed its field: {v:#x}")
+            if v >> at != degree:
+                degree = v >> at
+                lower += level
+                level = []
+            high = v | guards
+            for g in lower:
+                if (high - g) & guards == guards:
+                    break
+            else:
+                level.append(v)
+        return lower + level
+
+    def product(self, left: list[int], right: list[int]) -> list[int]:
+        """The minimal elements among the sums of a left and a right vector."""
+        return self.minimal(f + g for f in left for g in right)
+
+
+def _top(vectors: Iterable[ExpVec]) -> int:
+    return max(chain.from_iterable(vectors), default=0)
+
+
+def minimal_elements(vectors: Iterable[ExpVec]) -> tuple[ExpVec, ...]:
+    """Distinct vectors that lie above no other one, in (degree, lex) order."""
+    vecs = list(vectors)
+    packing = Packing(len(vecs[0]) if vecs else 0, _top(vecs))
+    return tuple(map(packing.unpack, packing.minimal(map(packing.pack, vecs))))
 
 
 _SHAPES = ("an integer", "a list of integers", "a list of lists of integers")
@@ -152,12 +201,11 @@ class MonomialIdeal:
 
     def multiply(self, other: MonomialIdeal) -> MonomialIdeal:
         self._same_ring(other)
-        sums = (
-            tuple(a + b for a, b in zip(f, g))
-            for f in self.gens
-            for g in other.gens
+        packing = Packing(self.n, _top(self.gens) + _top(other.gens))
+        product = packing.product(
+            list(map(packing.pack, self.gens)), list(map(packing.pack, other.gens))
         )
-        return MonomialIdeal(self.n, minimal_elements(sums))
+        return MonomialIdeal(self.n, tuple(map(packing.unpack, product)))
 
     __mul__ = multiply
 
@@ -171,16 +219,17 @@ class MonomialIdeal:
         """k-th ordinary power by square-and-multiply, k=0 gives the unit ideal."""
         if k < 0:
             raise ValueError(f"power exponent must be >= 0, got {k}")
-        result = MonomialIdeal.unit(self.n)
-        base = self
+        packing = Packing(self.n, k * _top(self.gens))  # one packing for I^j, j <= k
+        result = [0]  # the unit ideal
+        base = list(map(packing.pack, self.gens))
         e = k
         while e:
             if e & 1:
-                result = result.multiply(base)
+                result = packing.product(result, base)
             e >>= 1
             if e:
-                base = base.multiply(base)
-        return result
+                base = packing.product(base, base)
+        return MonomialIdeal(self.n, tuple(map(packing.unpack, result)))
 
     def __pow__(self, k: int) -> MonomialIdeal:
         return self.power(k)

@@ -79,6 +79,37 @@ class TestGenerators:
             )
 
 
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return WeightedComplex.validate(10, outer + spokes + inner)
+
+
+class TestUnitWeightGraphCap:
+    # a graph with unit weights has its algebra generated in degree <= 2
+    def test_cap_two_or_more_gives_the_whole_basis(self):
+        rng = random.Random(17)
+        complexes = [petersen()]
+        while len(complexes) < 10:
+            n = rng.randint(3, 9)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+            if edges:
+                complexes.append(WeightedComplex.validate(n, edges))
+        for c in complexes:
+            whole = algebra.generators(c).generators
+            for cap in (2, 3):
+                capped = algebra.generators(c, cap)
+                assert capped.generators == whole
+                assert not capped.truncated
+
+    def test_cap_one_still_flags(self):
+        c5 = WeightedComplex.validate(5, [(i, (i + 1) % 5) for i in range(5)])
+        pres = algebra.generators(c5, 1)
+        assert pres.truncated
+        assert max(g.k for g in algebra.generators(c5).generators) == 2
+
+
 class TestMaxDegree:
     def test_values(self):
         assert algebra.max_degree(algebra.generators(triangle())) == 2

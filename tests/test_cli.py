@@ -15,6 +15,7 @@ from coveralg.cli import main
 from coveralg.complexes import WeightedComplex, is_cover
 from coveralg.errors import InternalError
 from coveralg.graphs import decompose
+from coveralg.monomial import MonomialIdeal
 
 TRIANGLE = {"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]}
 SQUARE = {"n": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}
@@ -189,6 +190,22 @@ class TestSymbolicAndPower:
 
 
 class TestCompare:
+    def test_non_squarefree_exits_2_before_any_power(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_power(self, k):
+            raise AssertionError("compare computed a power of a refused ideal")
+
+        monkeypatch.setattr(MonomialIdeal, "power", no_power)
+        path = tmp_path / "bad.json"
+        bad = {"n": 2, "gens": [[2, 0], [1, 1]]}
+        path.write_text(json.dumps(bad), encoding="utf-8")
+        code, out, err = run(capsys, "compare", str(path), "-n", "3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: symbolic power via minimal primes requires a squarefree ideal\n"
+        )
+
     def test_triangle_proper(self, capsys, ideal_file):
         code, out, _ = run(capsys, "compare", ideal_file, "-n", "2")
         assert code == 0

@@ -1,5 +1,5 @@
-"""Property tests: the antichain kernel, symbolic powers and the Hilbert-basis
-engine against oracles.
+"""Property tests: the packed monomial layer, symbolic powers and the
+Hilbert-basis engine against oracles.
 
 Inputs are drawn by hypothesis with a fixed derandomized seed and small
 example counts, so the suite stays quick and every run checks the same
@@ -8,24 +8,56 @@ cases.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from coveralg.algebra import squarefree_symbolic_power
+from coveralg.algebra import compare_powers, squarefree_symbolic_power
 from coveralg.complexes import WeightedComplex
 from coveralg.cone import build_cone, hilbert_basis
-from coveralg.monomial import MonomialIdeal, minimal_elements
+from coveralg.errors import InternalError
+from coveralg.monomial import MonomialIdeal, Packing, minimal_elements
 
 small = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
+def vectors(draw, n, max_size):
+    """Exponent vectors up to a top of 0 to 300, so fields of 1 to 10 bits.
+
+    The top's bit length is drawn first: small tops make vectors of equal
+    degree, whose order only the lex part of the packing decides.
+    """
+    top = min(300, (1 << draw(st.integers(0, 9))) - 1)
+    vector = st.tuples(*[st.integers(0, top)] * n)
+    return draw(st.lists(vector, max_size=max_size))
+
+
 @st.composite
 def vector_sets(draw):
-    n = draw(st.integers(1, 5))
-    vector = st.tuples(*[st.integers(0, 3)] * n)
-    return draw(st.lists(vector, max_size=20))
+    return vectors(draw, draw(st.integers(1, 6)), 20)
+
+
+@st.composite
+def ideal_pairs(draw, max_size=6):
+    """Two ideals in one ring of 1 to 6 variables, the zero and unit ideals
+    among them."""
+    n = draw(st.integers(1, 6))
+    zero, unit = MonomialIdeal.zero(n), MonomialIdeal.unit(n)
+
+    def ideal():
+        gens = vectors(draw, n, max_size)
+        return draw(st.sampled_from([MonomialIdeal.from_gens(n, gens), zero, unit]))
+
+    return ideal(), ideal()
+
+
+def products(left, right):
+    """The minimal generators of a product, from its definition."""
+    return oracles.minimal_elements(
+        tuple(a + b for a, b in zip(f, g)) for f in left for g in right
+    )
 
 
 @st.composite
@@ -65,6 +97,39 @@ def test_minimal_elements_match_all_pairs_oracle(vectors):
 
 
 @small
+@given(vector_sets())
+def test_from_gens_keeps_the_minimal_vectors(vectors):
+    n = len(vectors[0]) if vectors else 1
+    ideal = MonomialIdeal.from_gens(n, vectors)
+    assert ideal.gens == oracles.minimal_elements(vectors)
+
+
+@small
+@given(ideal_pairs())
+def test_multiply_matches_definition(pair):
+    left, right = pair
+    assert (left * right).gens == products(left.gens, right.gens)
+
+
+@settings(small, max_examples=80)
+@given(ideal_pairs(max_size=4), st.integers(0, 5))
+def test_power_matches_repeated_products(pair, k):
+    ideal = pair[0]
+    expected = ((0,) * ideal.n,)
+    for _ in range(k):
+        expected = products(expected, ideal.gens)
+    assert ideal.power(k).gens == expected
+
+
+def test_a_sum_past_the_field_width_raises():
+    packing = Packing(3, 5)  # fields hold 0..7
+    v = packing.pack((0, 5, 0))
+    assert packing.unpack(packing.minimal([v])[0]) == (0, 5, 0)
+    with pytest.raises(InternalError):
+        packing.minimal([v + v])
+
+
+@small
 @given(squarefree_ideals(), st.integers(1, 4))
 def test_symbolic_power_matches_intersection(ideal, k):
     assert squarefree_symbolic_power(
@@ -77,3 +142,18 @@ def test_symbolic_power_matches_intersection(ideal, k):
 def test_hilbert_basis_matches_primal_oracle(complex_):
     system = build_cone(complex_)
     assert hilbert_basis(system).points == oracles.primal_hilbert_basis(system)
+
+
+@settings(small, max_examples=60)
+@given(squarefree_ideals(), st.integers(1, 3))
+def test_compare_witness_matches_membership(ideal, k):
+    # I^k from its definition: the products of k generators
+    ordinary = [
+        tuple(map(sum, zip(*factors)))
+        for factors in combinations_with_replacement(ideal.gens, k)
+    ]
+    symbolic = oracles.symbolic_power_by_intersection(ideal, k)
+    outside = [g for g in symbolic.gens if not oracles.member(ordinary, g)]
+    result = compare_powers(ideal, k)
+    assert result.equal == (not outside)
+    assert result.witness == min(outside, key=lambda v: (sum(v), v), default=None)
