@@ -46,8 +46,8 @@ def generators(
         CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0
     )
     truncated = basis.truncated and not (degree_cap >= 2 and all(
-        len(f) == 2 and w == 1 for f, w in zip(complex_.facets, complex_.weights)
-    ))
+        len(f) == 2 for f in complex_.facets
+    ) and complex_.has_canonical_weights)
     return AlgebraPresentation(complex_, gens, truncated)
 
 

@@ -18,7 +18,7 @@ from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from . import algebra
-from .complexes import CoverPoint, WeightedComplex, skeleton_generators
+from .complexes import CoverPoint, WeightedComplex, is_cover, skeleton_generators
 from .errors import DimensionMismatch, InternalError
 from .graphs import (
     WeightedGraph, bipartite_split, bipartition, decompose, family_instance,
@@ -282,6 +282,8 @@ def cmd_split(args: argparse.Namespace) -> Output:
     complex_ = _load_complex(args.complex_file)
     graph = WeightedGraph.from_complex(complex_)
     a, k = _parse_cover(args.cover, complex_.n)
+    if not is_cover(complex_, a, k):
+        raise ValueError(f"{a} is not a cover of order {k}")
     bip = bipartition(graph)
     parts: list[CoverPoint] = []
     if bip.is_bipartite:

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
-from .monomial import ExpVec, MonomialIdeal, file_field
+from .monomial import ExpVec, MonomialIdeal, Packing, file_field
 
 
 class CoverPoint(NamedTuple):
@@ -134,34 +134,34 @@ def facet_complex(ideal: MonomialIdeal) -> WeightedComplex:
 def cover_complex(complex_: WeightedComplex) -> WeightedComplex:
     """Complex on the same vertices whose facets are the minimal vertex covers.
 
-    Branch and bound: pick an uncovered facet, branch on its vertices, then
-    antichain-filter the collected hitting sets.
+    Berge's transversal step (Hypergraphs, 1989), one facet at a time from
+    the empty cover: given the minimal covers T of the facets so far, those
+    of one more facet F are the minimal sets among the T that meet F and
+    the T + v, v in F, for the T that miss F. This is exact, since a
+    minimal cover C of the larger family contains a minimal cover T of the
+    smaller one, and C is T if T meets F, else T + v for a v of C in F.
+
+    Covers are packed 0/1 vectors (`Packing(n, 1)`): meeting F is one `&`
+    with F's field mask, adding a vertex one int addition, and
+    `Packing.minimal` keeps the antichain after each facet. Each facet is
+    one pass over a flat list, so no search tree and no recursion is left.
     """
     if not complex_.has_canonical_weights:
         raise InvalidComplex("cover complex requires canonical weights")
     if not complex_.facets:
         raise InvalidComplex("cover complex of an empty facet family")
-    found: list[frozenset[int]] = []
-
-    def branch(chosen: frozenset[int], uncovered: list[frozenset[int]]) -> None:
-        if any(r <= chosen for r in found):
-            return
-        if not uncovered:
-            found.append(chosen)
-            return
-        f = uncovered[0]
-        for v in sorted(f):
-            branch(
-                chosen | {v},
-                [g for g in uncovered if v not in g],
-            )
-
-    branch(frozenset(), list(complex_.facets))
-    minimal = [
-        c for c in set(found)
-        if not any(other < c for other in found)
-    ]
-    return WeightedComplex.validate(complex_.n, minimal)
+    packing = Packing(complex_.n, 1)
+    degree_one = 1 << packing.degree_at
+    covers = [0]  # the empty cover
+    for f in complex_.facets:
+        bits = [1 << packing.shifts[v] for v in f]
+        field = sum(bits)
+        covers = packing.minimal(
+            [c for c in covers if c & field]
+            + [c + b + degree_one for c in covers if not c & field for b in bits]
+        )
+    supports = [[v for v, x in enumerate(packing.unpack(c)) if x] for c in covers]
+    return WeightedComplex.validate(complex_.n, supports)
 
 
 def skeleton_generators(n: int, j: int) -> tuple[CoverPoint, ...]:

@@ -45,10 +45,6 @@ class WeightedGraph:
     def to_complex(self) -> WeightedComplex:
         return WeightedComplex(self.n, self.edges, self.weights)
 
-    @property
-    def has_canonical_weights(self) -> bool:
-        return all(w == 1 for w in self.weights)
-
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for e in self.edges:
@@ -133,11 +129,11 @@ def split_order2(
     The order-2 part is 0 on zero-coordinate vertices, 2 on their
     neighbors, and 1 elsewhere. Canonical weights only.
     """
-    if not graph.has_canonical_weights:
+    complex_ = graph.to_complex()
+    if not complex_.has_canonical_weights:
         raise ValueError("order-2 split requires canonical weights")
     if k < 3:
         raise ValueError(f"order-2 split needs k >= 3, got {k}")
-    complex_ = graph.to_complex()
     av = tuple(int(x) for x in a)
     if not is_cover(complex_, av, k):
         raise ValueError(f"{av} is not a cover of order {k}")

@@ -154,7 +154,7 @@ def odd_cycle_domination(graph: WeightedGraph) -> bool:
     Exhaustive odd-cycle enumeration, so the vertex count is capped;
     vacuously true on bipartite graphs.
     """
-    if not graph.has_canonical_weights:
+    if any(w != 1 for w in graph.weights):
         raise ValueError("odd cycle domination is defined for canonical weights")
     if graph.n > ODD_CYCLE_VERTEX_CAP:
         raise ValueError(

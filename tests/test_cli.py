@@ -381,6 +381,22 @@ class TestSplit:
         assert out == ""
         assert "is not a cover of order 3" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--cover", "0,0;1"], "(0, 0) is not a cover of order 1"),
+            (["--cover=-1,5;1", "--json"], "(-1, 5) is not a cover of order 1"),
+            (["--cover", "0,0;-1"], "cover order must be >= 0, got -1"),
+        ],
+        ids=["zero", "negative-coordinate", "negative-order"],
+    )
+    def test_low_order_input_is_checked(self, capsys, edge_file, argv, message):
+        # at order k <= 1 the bipartite chain splits nothing, so only the
+        # command's own check stands between the input and the output
+        code, out, err = run(capsys, "split", edge_file, *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_no_vertices_cover(self, capsys, empty_file):
         code, out, err = run(capsys, "split", empty_file, "--cover", ";3")
         assert (code, out, err) == (0, "t\nt\nt\n", "")

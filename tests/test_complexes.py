@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -218,6 +219,15 @@ class TestModuleGenerators:
                         assert not is_cover(c, lowered, k)
 
 
+def random_graph(seed, n, m):
+    """m distinct random edges on n vertices."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        edges.add(frozenset(rng.sample(range(n), 2)))
+    return WeightedComplex.validate(n, edges)
+
+
 class TestFacetAndCoverComplex:
     def test_facet_complex_of_edge_ideal(self):
         edges = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
@@ -259,6 +269,28 @@ class TestFacetAndCoverComplex:
         for _ in range(30):
             c = random_antichain_complex(rng, rng.randint(2, 6))
             assert cover_complex(cover_complex(c)) == c
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_graphs_beyond_the_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(16, 26)
+        c = random_graph(seed, n, rng.randint(n, 40))
+        dual = cover_complex(c)
+        assert cover_complex(dual) == c
+        for cover in dual.facets:
+            assert all(cover & e for e in c.facets)
+            for v in cover:  # no vertex can be dropped
+                assert not all((cover - {v}) & e for e in c.facets)
+
+    def test_26_vertex_graph_within_two_seconds(self):
+        # 526 primes; a branch and bound over vertex choices takes about
+        # 2 minutes on this graph, so the budget fails an exponential search
+        c = random_graph(3, 26, 40)
+        start = time.perf_counter()
+        dual = cover_complex(c)
+        elapsed = time.perf_counter() - start
+        assert len(dual.facets) == 526
+        assert elapsed < 2.0, f"cover complex took {elapsed:.2f} s"
 
     def test_cover_ideal_duality(self):
         # the cover ideal of the dual is the facet ideal of the original

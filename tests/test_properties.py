@@ -11,11 +11,11 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from coveralg.algebra import compare_powers, squarefree_symbolic_power
-from coveralg.complexes import WeightedComplex
+from coveralg.complexes import WeightedComplex, cover_complex
 from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InternalError
 from coveralg.monomial import MonomialIdeal, Packing, minimal_elements
@@ -67,6 +67,18 @@ def squarefree_ideals(draw):
     faces = draw(st.lists(face, min_size=2, max_size=8, unique=True))
     return MonomialIdeal.from_gens(
         n, [tuple(int(i in f) for i in range(n)) for f in faces]
+    )
+
+
+@st.composite
+def facet_antichains(draw):
+    """The minimal sets of a drawn family of 1 to 10 faces on 1 to 8
+    vertices, so singleton facets and one-facet complexes come up."""
+    n = draw(st.integers(1, 8))
+    faces = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1),
+                          min_size=1, max_size=10))
+    return WeightedComplex.validate(
+        n, {f for f in faces if not any(g < f for g in faces)}
     )
 
 
@@ -135,6 +147,17 @@ def test_symbolic_power_matches_intersection(ideal, k):
     assert squarefree_symbolic_power(
         ideal, k
     ) == oracles.symbolic_power_by_intersection(ideal, k)
+
+
+@small
+@given(facet_antichains())
+@example(WeightedComplex.validate(8, [range(8)]))  # the full simplex
+@example(WeightedComplex.validate(6, [[1, 4]]))  # one facet, isolated vertices
+@example(WeightedComplex.validate(4, [[0], [1], [2, 3]]))
+@example(WeightedComplex.validate(5, [[0], [1], [2], [3], [4]]))
+def test_cover_complex_matches_hitting_set_oracle(complex_):
+    got = set(cover_complex(complex_).facets)
+    assert got == oracles.minimal_hitting_sets(complex_.n, complex_.facets)
 
 
 @settings(small, max_examples=60)
