@@ -45,9 +45,9 @@ def generators(
     gens = tuple(
         CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0
     )
-    truncated = basis.truncated and not (degree_cap >= 2 and all(
-        len(f) == 2 for f in complex_.facets
-    ) and complex_.has_canonical_weights)
+    truncated = basis.truncated and not (
+        degree_cap >= 2 and complex_.non_edge is None and complex_.has_canonical_weights
+    )
     return AlgebraPresentation(complex_, gens, truncated)
 
 

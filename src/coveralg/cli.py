@@ -18,12 +18,9 @@ from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from . import algebra
-from .complexes import CoverPoint, WeightedComplex, is_cover, skeleton_generators
+from .complexes import CoverPoint, WeightedComplex, skeleton_generators
 from .errors import DimensionMismatch, InternalError
-from .graphs import (
-    WeightedGraph, bipartite_split, bipartition, decompose, family_instance,
-    split_order2,
-)
+from .graphs import bipartition, decompose, family_instance, neighbors, split
 from .monomial import MonomialIdeal, monomial_str
 
 USAGE_EXIT = 1
@@ -73,6 +70,12 @@ def _parse_cover(text: str, n: int) -> tuple[tuple[int, ...], int]:
 
 def _resolve_complex(args: argparse.Namespace) -> WeightedComplex:
     if args.family:
+        if args.complex_file:
+            m, k = args.family
+            raise ValueError(
+                f"complex file {args.complex_file} and --family {m} {k} "
+                "both given; pass one"
+            )
         return family_instance(*args.family).complex
     if not args.complex_file:
         raise ValueError("either a complex file or --family M K is required")
@@ -162,12 +165,9 @@ def cmd_compare(args: argparse.Namespace) -> Output:
 
 
 def _check_bipartite(complex_: WeightedComplex) -> Output:
-    bip = bipartition(WeightedGraph.from_complex(complex_))
-    parts = odd_cycle = None
-    if bip.is_bipartite:
-        parts = [sorted(v + 1 for v in p) for p in bip.parts]
-    else:
-        odd_cycle = [v + 1 for v in bip.odd_cycle]
+    bip = bipartition(complex_)
+    parts = [sorted(v + 1 for v in p) for p in bip.parts] if bip.is_bipartite else None
+    odd_cycle = None if bip.is_bipartite else [v + 1 for v in bip.odd_cycle]
     record = {"check": "bipartite", "verdict": bip.is_bipartite, "parts": parts,
               "odd_cycle": odd_cycle}
 
@@ -258,8 +258,8 @@ def cmd_check(args: argparse.Namespace) -> Output:
 
 
 def cmd_decompose(args: argparse.Namespace) -> Output:
-    if args.family and not args.cover:  # the family's distinguished cover
-        inst = family_instance(*args.family)
+    if args.family and not (args.cover or args.complex_file):
+        inst = family_instance(*args.family)  # with its distinguished cover
         complex_, a, k = inst.complex, inst.cover, inst.order
     else:
         complex_ = _resolve_complex(args)
@@ -280,24 +280,8 @@ def cmd_decompose(args: argparse.Namespace) -> Output:
 
 def cmd_split(args: argparse.Namespace) -> Output:
     complex_ = _load_complex(args.complex_file)
-    graph = WeightedGraph.from_complex(complex_)
-    a, k = _parse_cover(args.cover, complex_.n)
-    if not is_cover(complex_, a, k):
-        raise ValueError(f"{a} is not a cover of order {k}")
-    bip = bipartition(graph)
-    parts: list[CoverPoint] = []
-    if bip.is_bipartite:
-        rest, order = a, k
-        while order >= 2:
-            b, c = bipartite_split(graph, rest, order)
-            parts.append(CoverPoint(b, 1))
-            rest, order = c, order - 1
-        parts.append(CoverPoint(tuple(rest), order))
-    else:
-        if k < 3:
-            raise ValueError("non-bipartite split needs a cover of order >= 3")
-        eps, rest = split_order2(graph, a, k)
-        parts = [CoverPoint(eps, 2), CoverPoint(rest, k - 2)]
+    neighbors(complex_)  # a facet that is no edge outranks a malformed cover
+    parts = split(complex_, *_parse_cover(args.cover, complex_.n))
     return {"parts": [_point(p) for p in parts]}, _lines(parts)
 
 
@@ -311,7 +295,7 @@ def cmd_family(args: argparse.Namespace) -> Output:
     inst = family_instance(args.m, args.k)
     data = inst.complex.to_dict()
     data["cover"] = {"a": list(inst.cover), "k": inst.order}
-    data["edges"] = [sorted(v + 1 for v in e) for e in inst.graph.edges]
+    data["edges"] = [sorted(v + 1 for v in e) for e in inst.graph.facets]
     return data, ()
 
 

@@ -86,6 +86,11 @@ class WeightedComplex:
     def has_canonical_weights(self) -> bool:
         return all(w == 1 for w in self.weights)
 
+    @property
+    def non_edge(self) -> frozenset[int] | None:
+        """The first facet without exactly two vertices; None for a graph."""
+        return next((f for f in self.facets if len(f) != 2), None)
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,

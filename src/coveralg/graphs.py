@@ -1,57 +1,33 @@
 """Graph-specific cover constructions: splits, decomposability, families.
 
-Graphs are weighted complexes whose facets all have two vertices; the
-conversions in both directions are lossless. Vertices are 0-indexed
-internally, like everywhere else in the package.
+A graph is a weighted complex whose facets all have two vertices, its
+edges. Vertices are 0-indexed internally, like everywhere else in the
+package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import generators
-from .complexes import WeightedComplex, is_cover
+from .complexes import CoverPoint, WeightedComplex, is_cover
 from .errors import InternalError, NotAGraph
 from .monomial import ExpVec
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
-    n: int
-    edges: tuple[frozenset[int], ...]
-    weights: tuple[int, ...]
-
-    @classmethod
-    def validate(
-        cls,
-        n: int,
-        edges: Iterable[Iterable[int]],
-        weights: Iterable[int] | None = None,
-    ) -> WeightedGraph:
-        c = WeightedComplex.validate(n, edges, weights)
-        return cls.from_complex(c)
-
-    @classmethod
-    def from_complex(cls, complex_: WeightedComplex) -> WeightedGraph:
-        bad = [f for f in complex_.facets if len(f) != 2]
-        if bad:
-            raise NotAGraph(
-                f"facet {sorted(v + 1 for v in bad[0])} is not an edge"
-            )
-        return cls(complex_.n, complex_.facets, complex_.weights)
-
-    def to_complex(self) -> WeightedComplex:
-        return WeightedComplex(self.n, self.edges, self.weights)
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for e in self.edges:
-            u, v = sorted(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+def neighbors(complex_: WeightedComplex) -> list[set[int]]:
+    """Neighbor sets of a graph; NotAGraph names the first non-edge facet."""
+    if complex_.non_edge is not None:
+        raise NotAGraph(
+            f"facet {sorted(v + 1 for v in complex_.non_edge)} is not an edge"
+        )
+    adj: list[set[int]] = [set() for _ in range(complex_.n)]
+    for u, v in complex_.facets:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -64,17 +40,18 @@ class Bipartition:
         return self.parts is not None
 
 
-def bipartition(graph: WeightedGraph) -> Bipartition:
-    """BFS 2-coloring; on failure returns an explicit odd cycle.
+def bipartition(complex_: WeightedComplex) -> Bipartition:
+    """BFS 2-coloring of a graph; on failure returns an explicit odd cycle.
 
     Isolated vertices land in the first part, so the empty graph comes
     back as ([n], empty).
     """
-    adj = graph.adjacency()
-    color = [-1] * graph.n
-    parent = [-1] * graph.n
-    depth = [0] * graph.n
-    for root in range(graph.n):
+    n = complex_.n
+    adj = neighbors(complex_)
+    color = [-1] * n
+    parent = [-1] * n
+    depth = [0] * n
+    for root in range(n):
         if color[root] != -1:
             continue
         color[root] = 0
@@ -91,8 +68,8 @@ def bipartition(graph: WeightedGraph) -> Bipartition:
                     elif color[v] == color[u]:
                         return Bipartition(None, _tree_cycle(parent, depth, u, v))
             queue = nxt
-    u_part = frozenset(i for i in range(graph.n) if color[i] == 0)
-    v_part = frozenset(i for i in range(graph.n) if color[i] == 1)
+    u_part = frozenset(i for i in range(n) if color[i] == 0)
+    v_part = frozenset(i for i in range(n) if color[i] == 1)
     return Bipartition((u_part, v_part), None)
 
 
@@ -121,68 +98,52 @@ def _tree_cycle(
     return tuple(cycle)
 
 
-def split_order2(
-    graph: WeightedGraph, a: Sequence[int], k: int
-) -> tuple[ExpVec, ExpVec]:
-    """Split a cover of order k >= 3 into covers of orders 2 and k-2.
+def split(
+    complex_: WeightedComplex, a: Sequence[int], k: int
+) -> list[CoverPoint]:
+    """Split a cover a of order k of a graph into covers of lower orders.
 
-    The order-2 part is 0 on zero-coordinate vertices, 2 on their
-    neighbors, and 1 elsewhere. Canonical weights only.
+    On a bipartite graph a is the sum of k covers of order 1: rounding
+    a/k up on one side and down on the other gives one, and what is left
+    is a cover of order k - 1, split the same way. On any other graph
+    with canonical weights, a cover of order k >= 3 is the sum of a cover
+    of order 2, which is 0 where a is 0, 2 on the neighbors of those
+    vertices and 1 elsewhere, and the rest, of order k - 2. Every part is
+    checked to be a cover of its order before it is returned.
     """
-    complex_ = graph.to_complex()
-    if not complex_.has_canonical_weights:
-        raise ValueError("order-2 split requires canonical weights")
-    if k < 3:
-        raise ValueError(f"order-2 split needs k >= 3, got {k}")
+    bip = bipartition(complex_)
     av = tuple(int(x) for x in a)
     if not is_cover(complex_, av, k):
         raise ValueError(f"{av} is not a cover of order {k}")
-    zero_set = {i for i, x in enumerate(av) if x == 0}
-    adj = graph.adjacency()
-    neighbors = {j for i in zero_set for j in adj[i]}
+    if bip.is_bipartite:
+        up, _ = bip.parts
+        parts: list[CoverPoint] = []
+        rest, order = av, k
+        while order >= 2:
+            b = tuple(
+                -(-x // order) if i in up else x // order for i, x in enumerate(rest)
+            )
+            c = tuple(map(sub, rest, b))
+            if not (is_cover(complex_, b, 1) and is_cover(complex_, c, order - 1)):
+                raise InternalError(f"split {b} + {c} of {rest} is not a cover")
+            parts.append(CoverPoint(b, 1))
+            rest, order = c, order - 1
+        return parts + [CoverPoint(rest, order)]
+    if k < 3:
+        raise ValueError("non-bipartite split needs a cover of order >= 3")
+    if not complex_.has_canonical_weights:
+        raise ValueError("order-2 split requires canonical weights")
+    zeros = {i for i, x in enumerate(av) if x == 0}
+    near = set().union(*(f for f in complex_.facets if f & zeros))
     eps = tuple(
-        0 if i in zero_set else 2 if i in neighbors else 1
-        for i in range(graph.n)
+        0 if i in zeros else 2 if i in near else 1 for i in range(complex_.n)
     )
-    rest = tuple(x - e for x, e in zip(av, eps))
+    rest = tuple(map(sub, av, eps))
     if not is_cover(complex_, eps, 2):
         raise InternalError(f"order-2 part {eps} of {av} is not a cover")
     if not is_cover(complex_, rest, k - 2):
         raise InternalError(f"rest {rest} of {av} is not a cover of order {k - 2}")
-    return eps, rest
-
-
-def bipartite_split(
-    graph: WeightedGraph, a: Sequence[int], k: int
-) -> tuple[ExpVec, ExpVec]:
-    """Split a cover of order k >= 2 of a bipartite graph into orders 1, k-1.
-
-    Rounds a/k up on one side of the bipartition and down on the other;
-    both halves are re-checked against every edge before returning.
-    """
-    if k < 2:
-        raise ValueError(f"bipartite split needs k >= 2, got {k}")
-    bip = bipartition(graph)
-    if not bip.is_bipartite:
-        raise ValueError(
-            f"graph has odd cycle {tuple(v + 1 for v in bip.odd_cycle)}"
-        )
-    complex_ = graph.to_complex()
-    av = tuple(int(x) for x in a)
-    if not is_cover(complex_, av, k):
-        raise ValueError(f"{av} is not a cover of order {k}")
-    up, _ = bip.parts
-    b = tuple(
-        -(-av[i] // k) if i in up else av[i] // k for i in range(graph.n)
-    )
-    c = tuple(x - y for x, y in zip(av, b))
-    for e, w in zip(graph.edges, graph.weights):
-        i, j = sorted(e)
-        if b[i] + b[j] < w or c[i] + c[j] < (k - 1) * w:
-            raise InternalError(
-                f"split {b} + {c} of {av} fails edge {{{i + 1},{j + 1}}}"
-            )
-    return b, c
+    return [CoverPoint(eps, 2), CoverPoint(rest, k - 2)]
 
 
 @dataclass(frozen=True)
@@ -228,7 +189,7 @@ def decompose(
 
 @dataclass(frozen=True)
 class FamilyInstance:
-    graph: WeightedGraph
+    graph: WeightedComplex
     complex: WeightedComplex
     cover: ExpVec
     order: int
@@ -250,15 +211,13 @@ def family_instance(m: int, k: int) -> FamilyInstance:
     def wrap(h: int) -> int:
         return h if h <= n else h - n + m
 
-    edges = set()
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if j != i:
-                edges.add(frozenset((i - 1, j - 1)))
-    for i in range(m + 1, n + 1):
-        edges.add(frozenset((i - 1, wrap(i + k) - 1)))
-        edges.add(frozenset((i - 1, wrap(i + k + 1) - 1)))
-    graph = WeightedGraph.validate(n, sorted(edges, key=sorted))
+    hub_edges = {frozenset((i, j)) for i in range(m) for j in range(n) if j != i}
+    circulant = {
+        frozenset((i - 1, wrap(h) - 1))
+        for i in range(m + 1, n + 1)
+        for h in (i + k, i + k + 1)
+    }
+    graph = WeightedComplex.validate(n, hub_edges | circulant)
 
     everything = set(range(n))
     facets = [everything - {i} for i in range(m)]

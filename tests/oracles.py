@@ -24,7 +24,7 @@ from coveralg.algebra import generators, gorenstein_report, max_degree
 from coveralg.complexes import CoverPoint, WeightedComplex, is_cover
 from coveralg.cone import ConeSystem
 from coveralg.errors import DimensionMismatch
-from coveralg.graphs import Decomposition, WeightedGraph
+from coveralg.graphs import Decomposition, neighbors
 from coveralg.monomial import MonomialIdeal
 
 
@@ -148,7 +148,7 @@ def _simple_cycles(adj: Sequence[set[int]], n: int):
                     stack.append((w, path + (w,)))
 
 
-def odd_cycle_domination(graph: WeightedGraph) -> bool:
+def odd_cycle_domination(graph: WeightedComplex) -> bool:
     """True iff every vertex has a neighbor on every odd cycle.
 
     Exhaustive odd-cycle enumeration, so the vertex count is capped;
@@ -161,7 +161,7 @@ def odd_cycle_domination(graph: WeightedGraph) -> bool:
             f"odd cycle enumeration capped at {ODD_CYCLE_VERTEX_CAP} vertices, "
             f"got {graph.n}"
         )
-    adj = graph.adjacency()
+    adj = neighbors(graph)
     for cycle in _simple_cycles(adj, graph.n):
         if len(cycle) % 2 == 0:
             continue

@@ -18,7 +18,7 @@ from coveralg import algebra
 from coveralg.complexes import WeightedComplex, skeleton_generators
 from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InvalidComplex
-from coveralg.graphs import WeightedGraph, bipartition, decompose, family_instance
+from coveralg.graphs import bipartition, decompose, family_instance
 from coveralg.monomial import MonomialIdeal
 from oracles import in_cone, skeleton, veronese
 
@@ -37,7 +37,7 @@ def square():
 
 def random_graph(rng, n, p=0.5):
     edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-    return WeightedGraph.validate(n, edges)
+    return WeightedComplex.validate(n, edges)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_criterion_06_graph_degree_at_most_two():
     worst = 0
     for _ in range(200):
         g = random_graph(rng, rng.randint(1, 7))
-        pres = algebra.generators(g.to_complex())
+        pres = algebra.generators(g)
         d = algebra.max_degree(pres)
         worst = max(worst, d)
         assert d <= 2
@@ -157,17 +157,16 @@ def test_criterion_07_bipartite_standard_gradedness():
     non_bipartite_seen = 0
     witnessed = 0
     for _ in range(80):
-        g = random_graph(rng, rng.randint(1, 7))
-        c = g.to_complex()
+        c = random_graph(rng, rng.randint(1, 7))
         standard = oracles.is_standard_graded(c)
-        assert standard == bipartition(g).is_bipartite
-        if not bipartition(g).is_bipartite:
+        assert standard == bipartition(c).is_bipartite
+        if not bipartition(c).is_bipartite:
             non_bipartite_seen += 1
-            all_ones = (1,) * g.n
+            all_ones = (1,) * c.n
             # no i, j >= 1 split exists for the all-ones order-2 cover
             assert decompose(c, all_ones, 2) is None
-            covered = set().union(*g.edges)
-            if len(covered) == g.n:
+            covered = set().union(*c.facets)
+            if len(covered) == c.n:
                 # with no isolated vertex the all-ones cover is also a
                 # minimal one, hence an actual basis element
                 basis = hilbert_basis(build_cone(c))
@@ -177,14 +176,12 @@ def test_criterion_07_bipartite_standard_gradedness():
     done = 0
     while done < 30:
         g = random_graph(rng, rng.randint(2, 7), p=0.4)
-        if not g.edges or not bipartition(g).is_bipartite:
+        if not g.facets or not bipartition(g).is_bipartite:
             continue
-        weighted = WeightedGraph.validate(
-            g.n,
-            [tuple(sorted(e)) for e in g.edges],
-            [rng.randint(1, 5) for _ in g.edges],
+        weighted = WeightedComplex.validate(
+            g.n, g.facets, [rng.randint(1, 5) for _ in g.facets]
         )
-        assert oracles.is_standard_graded(weighted.to_complex())
+        assert oracles.is_standard_graded(weighted)
         done += 1
     _report(
         7,

@@ -9,7 +9,7 @@ import oracles
 from coveralg import algebra
 from coveralg.complexes import CoverPoint, WeightedComplex, skeleton_generators
 from coveralg.errors import InvalidComplex, TruncatedPresentation
-from coveralg.graphs import WeightedGraph, bipartition
+from coveralg.graphs import bipartition
 from coveralg.monomial import MonomialIdeal
 from oracles import cover_ideal, det, skeleton, veronese
 
@@ -172,12 +172,12 @@ class TestIsStandardGraded:
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
             if not edges:
                 continue
-            g = WeightedGraph.validate(
+            g = WeightedComplex.validate(
                 n, edges, [rng.randint(1, 5) for _ in edges]
             )
             if not bipartition(g).is_bipartite:
                 continue
-            assert oracles.is_standard_graded(g.to_complex())
+            assert oracles.is_standard_graded(g)
             done += 1
 
 
@@ -325,12 +325,12 @@ class TestComparePowers:
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.5]
             if not edges:
                 continue
-            g = WeightedGraph.validate(n, edges)
-            ideal = cover_ideal(g.to_complex())
+            g = WeightedComplex.validate(n, edges)
+            ideal = cover_ideal(g)
             all_equal = all(
                 algebra.compare_powers(ideal, k).equal for k in range(1, 5)
             )
-            standard = oracles.is_standard_graded(g.to_complex())
+            standard = oracles.is_standard_graded(g)
             assert all_equal == standard
             done += 1
 

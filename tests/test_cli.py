@@ -105,6 +105,15 @@ class TestBasis:
         assert code == 0
         assert len(out.splitlines()) == 45  # 52 total minus 7 unit vectors
 
+    @pytest.mark.parametrize("command", ["basis", "decompose"])
+    def test_file_and_family_together_exit_2(self, capsys, triangle_file, command):
+        code, out, err = run(capsys, command, triangle_file, "--family", "2", "2")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: complex file {triangle_file} and --family 2 2 both given; "
+            "pass one\n"
+        )
+
     def test_cap_truncates_with_exit_3(self, capsys, triangle_file):
         code, out, err = run(capsys, "basis", triangle_file, "--cap", "1")
         assert code == 3
@@ -400,6 +409,20 @@ class TestSplit:
     def test_no_vertices_cover(self, capsys, empty_file):
         code, out, err = run(capsys, "split", empty_file, "--cover", ";3")
         assert (code, out, err) == (0, "t\nt\nt\n", "")
+
+    def test_non_edge_facet_is_reported_before_the_cover(self, capsys, tmp_path):
+        path = tmp_path / "tetra.json"
+        path.write_text(json.dumps({"n": 3, "facets": [[1, 2, 3]]}), encoding="utf-8")
+        code, out, err = run(capsys, "split", str(path), "--cover", "1,1;2")
+        assert (code, out, err) == (2, "", "error: facet [1, 2, 3] is not an edge\n")
+
+    def test_weighted_non_bipartite_exits_2(self, capsys, tmp_path):
+        data = dict(TRIANGLE, weights=[2, 1, 1])
+        path = tmp_path / "weighted.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, "split", str(path), "--cover", "4,4,4;3")
+        assert (code, out) == (2, "")
+        assert err == "error: order-2 split requires canonical weights\n"
 
     def test_non_bipartite_low_order_exits_2(self, capsys, triangle_file):
         code, _, err = run(

@@ -6,24 +6,21 @@ from math import prod
 
 import pytest
 
-from coveralg.complexes import WeightedComplex, cover_complex, facet_complex, is_cover
+from coveralg import graphs
+from coveralg.complexes import (
+    CoverPoint, WeightedComplex, cover_complex, facet_complex, is_cover,
+)
 from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InvalidComplex, NotAGraph
 from coveralg.graphs import (
-    Decomposition,
-    WeightedGraph,
-    bipartite_split,
-    bipartition,
-    decompose,
-    family_instance,
-    split_order2,
+    Decomposition, bipartition, decompose, family_instance, neighbors, split,
 )
 from coveralg.monomial import MonomialIdeal
 from oracles import box_decompose, odd_cycle_domination
 
 
 def graph(n, edges, weights=None):
-    return WeightedGraph.validate(n, edges, weights)
+    return WeightedComplex.validate(n, edges, weights)
 
 
 def triangle_graph():
@@ -57,20 +54,20 @@ def random_weighted_complex(rng):
 
 
 def all_edges_checked(g, cycle):
-    adj = g.adjacency()
+    adj = neighbors(g)
     m = len(cycle)
     return all(cycle[(i + 1) % m] in adj[cycle[i]] for i in range(m))
 
 
-class TestConversion:
-    def test_round_trip(self):
-        g = c4()
-        assert WeightedGraph.from_complex(g.to_complex()) == g
+class TestNeighbors:
+    def test_square(self):
+        assert neighbors(c4()) == [{1, 3}, {0, 2}, {1, 3}, {0, 2}]
 
     def test_non_graph_rejected(self):
-        c = WeightedComplex.validate(3, [(0, 1, 2)])
-        with pytest.raises(NotAGraph):
-            WeightedGraph.from_complex(c)
+        c = WeightedComplex.validate(4, [(0, 1), (1, 2, 3)])
+        for f in (neighbors, bipartition, lambda c: split(c, (1, 1, 1, 1), 1)):
+            with pytest.raises(NotAGraph, match=r"facet \[2, 3, 4\] is not an edge"):
+                f(c)
 
 
 class TestBipartition:
@@ -95,7 +92,7 @@ class TestBipartition:
             bip = bipartition(g)
             if bip.is_bipartite:
                 u, v = bip.parts
-                for e in g.edges:
+                for e in g.facets:
                     a, b = sorted(e)
                     assert (a in u) != (b in u)
             else:
@@ -105,64 +102,72 @@ class TestBipartition:
                 assert all_edges_checked(g, cyc)
 
 
+def parts_of(*pairs):
+    return [CoverPoint(a, k) for a, k in pairs]
+
+
 class TestSplitOrder2:
     def test_all_positive_coordinates(self):
-        eps, rest = split_order2(triangle_graph(), (3, 3, 3), 3)
-        assert eps == (1, 1, 1)
-        assert rest == (2, 2, 2)
+        assert split(triangle_graph(), (3, 3, 3), 3) == parts_of(
+            ((1, 1, 1), 2), ((2, 2, 2), 1)
+        )
 
     def test_zero_coordinate_forces_two_on_neighbors(self):
-        g = graph(2, [(0, 1)])
-        eps, rest = split_order2(g, (0, 3), 3)
-        assert eps == (0, 2)
-        assert rest == (0, 1)
+        # a triangle with a pendant edge at vertex 2; vertex 3 is 0
+        g = graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert split(g, (3, 3, 3, 0), 3) == parts_of(
+            ((1, 1, 2, 0), 2), ((2, 2, 1, 0), 1)
+        )
 
     def test_precondition_violations(self):
-        with pytest.raises(ValueError):
-            split_order2(triangle_graph(), (1, 1, 1), 2)  # k < 3
-        with pytest.raises(ValueError):
-            split_order2(triangle_graph(), (0, 0, 0), 3)  # not a cover
+        with pytest.raises(ValueError, match="order >= 3"):
+            split(triangle_graph(), (1, 1, 1), 2)
+        with pytest.raises(ValueError, match="not a cover of order 3"):
+            split(triangle_graph(), (0, 0, 0), 3)
+        weighted = graph(3, [(0, 1), (0, 2), (1, 2)], [2, 1, 1])
+        with pytest.raises(ValueError, match="canonical weights"):
+            split(weighted, (4, 4, 4), 3)
 
     def test_random_covers_split_correctly(self):
         rng = random.Random(11)
         done = 0
         while done < 60:
             g = random_graph(rng, rng.randint(2, 8))
+            if bipartition(g).is_bipartite:
+                continue
             k = rng.randint(3, 6)
             a = tuple(rng.randint(0, 2 * k) for _ in range(g.n))
-            c = g.to_complex()
-            if not is_cover(c, a, k):
+            if not is_cover(g, a, k):
                 continue
-            eps, rest = split_order2(g, a, k)
+            (eps, two), (rest, order) = split(g, a, k)
+            assert (two, order) == (2, k - 2)
             assert tuple(x + y for x, y in zip(eps, rest)) == a
-            assert is_cover(c, eps, 2)
-            assert is_cover(c, rest, k - 2)
+            assert is_cover(g, eps, 2)
+            assert is_cover(g, rest, k - 2)
             done += 1
 
 
 class TestBipartiteSplit:
     def test_weighted_edge(self):
         g = graph(2, [(0, 1)], [3])
-        assert bipartite_split(g, (4, 2), 2) == ((2, 1), (2, 1))
+        assert split(g, (4, 2), 2) == parts_of(((2, 1), 1), ((2, 1), 1))
 
     def test_exact_multiple_of_order_one_cover(self):
-        g = c4()
         base = (1, 0, 1, 0)
         k = 3
         a = tuple(k * x for x in base)
-        b, c = bipartite_split(g, a, k)
-        assert b == base
-        assert c == tuple((k - 1) * x for x in base)
+        assert split(c4(), a, k) == parts_of(*[(base, 1)] * k)
 
     def test_square_unit_cover(self):
-        assert bipartite_split(c4(), (1, 1, 1, 1), 2) == (
-            (1, 0, 1, 0),
-            (0, 1, 0, 1),
+        assert split(c4(), (1, 1, 1, 1), 2) == parts_of(
+            ((1, 0, 1, 0), 1), ((0, 1, 0, 1), 1)
         )
 
     def test_non_bipartite_rejected(self):
-        with pytest.raises(ValueError, match="odd cycle"):
-            bipartite_split(triangle_graph(), (1, 1, 1), 2)
+        # an odd cycle rules out the rounding chain, so a cover the order-2
+        # step cannot take is refused rather than split into order-1 parts
+        with pytest.raises(ValueError, match="order >= 3"):
+            split(triangle_graph(), (1, 1, 1), 2)
 
     def test_recursion_reaches_order_one_chain(self):
         rng = random.Random(13)
@@ -171,26 +176,27 @@ class TestBipartiteSplit:
             g = random_graph(rng, rng.randint(2, 6), p=0.4)
             if not bipartition(g).is_bipartite:
                 continue
-            weights = [rng.randint(1, 4) for _ in g.edges]
-            g = graph(g.n, [tuple(sorted(e)) for e in g.edges], weights)
+            g = graph(g.n, g.facets, [rng.randint(1, 4) for _ in g.facets])
             k = rng.randint(2, 5)
             a = tuple(rng.randint(0, 4 * k) for _ in range(g.n))
-            c = g.to_complex()
-            if not is_cover(c, a, k):
+            if not is_cover(g, a, k):
                 continue
-            parts = []
-            rest, order = a, k
-            while order >= 2:
-                b, cc = bipartite_split(g, rest, order)
-                parts.append(b)
-                rest, order = cc, order - 1
-            parts.append(rest)
-            assert len(parts) == k
-            for part in parts:
-                assert is_cover(c, part, 1)
-            total = tuple(sum(col) for col in zip(*parts))
+            parts = split(g, a, k)
+            assert [order for _, order in parts] == [1] * k
+            for part, _ in parts:
+                assert is_cover(g, part, 1)
+            total = tuple(sum(col) for col in zip(*(part for part, _ in parts)))
             assert total == a
             done += 1
+
+    def test_two_colors_once(self, monkeypatch):
+        calls = []
+        real = graphs.bipartition
+        monkeypatch.setattr(
+            graphs, "bipartition", lambda c: calls.append(c) or real(c)
+        )
+        parts = split(c4(), (5, 5, 5, 5), 10)
+        assert len(parts) == 10 and len(calls) == 1
 
 
 class TestOddCycleDomination:
@@ -224,31 +230,30 @@ class TestSplitChainExpression:
         rng = random.Random(31)
         done = 0
         while done < 25:
-            g = random_graph(rng, rng.randint(3, 6), p=0.6)
-            if not g.edges or not odd_cycle_domination(g):
+            c = random_graph(rng, rng.randint(3, 6), p=0.6)
+            if not c.facets or not odd_cycle_domination(c):
                 continue
-            c = g.to_complex()
             k = rng.randint(2, 6)
-            a = tuple(rng.randint(0, k + 2) for _ in range(g.n))
+            a = tuple(rng.randint(0, k + 2) for _ in range(c.n))
             if not is_cover(c, a, k):
                 continue
+            # on a bipartite graph the first split already ends in order 1
             pieces = []
             rest, order = a, k
             while order >= 3:
-                eps, rest2 = split_order2(g, rest, order)
-                pieces.append((eps, 2))
-                rest, order = rest2, order - 2
+                *done_pieces, (rest, order) = split(c, rest, order)
+                pieces += done_pieces
             pieces.append((rest, order))
             for piece, piece_order in pieces:
                 if piece_order <= 1:
                     assert is_cover(c, piece, piece_order)
                     continue
-                split = decompose(c, piece, 2)
-                if split is None:
+                halves = decompose(c, piece, 2)
+                if halves is None:
                     # only the all-ones pattern may survive undecomposed
                     assert all(x >= 1 for x in piece)
                 else:
-                    assert split.i == split.j == 1
+                    assert halves.i == halves.j == 1
             total = tuple(sum(col) for col in zip(*(p for p, _ in pieces)))
             assert total == a
             assert sum(o for _, o in pieces) == k
@@ -257,11 +262,11 @@ class TestSplitChainExpression:
 
 class TestDecompose:
     def test_triangle_central_cover_indecomposable(self):
-        tri = triangle_graph().to_complex()
+        tri = triangle_graph()
         assert decompose(tri, (1, 1, 1), 2) is None
 
     def test_triangle_bigger_cover_decomposes(self):
-        tri = triangle_graph().to_complex()
+        tri = triangle_graph()
         result = decompose(tri, (2, 1, 1), 2)
         assert result is not None
         assert tuple(x + y for x, y in zip(result.b, result.c)) == (2, 1, 1)
@@ -270,7 +275,7 @@ class TestDecompose:
         assert is_cover(tri, result.c, result.j)
 
     def test_first_witness_is_canonical(self):
-        tri = triangle_graph().to_complex()
+        tri = triangle_graph()
         result = decompose(tri, (2, 2, 2), 2)
         # lexicographically first b in the box with a valid split
         assert result.b == (0, 1, 1)
@@ -323,13 +328,12 @@ class TestDecompose:
         assert indecomposable >= 30
 
     def test_agrees_with_hilbert_basis_membership(self):
-        graphs = [
+        all_graphs = [
             graph(n, edges)
             for n in (2, 3, 4, 5)
             for edges in _all_edge_subsets(n)
         ]
-        for g in graphs:
-            c = g.to_complex()
+        for c in all_graphs:
             basis = {
                 p
                 for p in hilbert_basis(build_cone(c)).points
@@ -389,7 +393,7 @@ class TestFamilyInstance:
             inst.graph.n,
             [
                 tuple(1 if i in e else 0 for i in range(inst.graph.n))
-                for e in inst.graph.edges
+                for e in inst.graph.facets
             ],
         )
         assert cover_complex(facet_complex(edge_ideal)) == inst.complex
@@ -398,5 +402,5 @@ class TestFamilyInstance:
         inst = family_instance(2, 2)
         # 2 hubs joined to all 6 others (11 distinct pairs) plus the
         # circulant pairs among vertices 3..7 that avoid the hubs
-        hub_edges = {e for e in inst.graph.edges if e & {0, 1}}
+        hub_edges = {e for e in inst.graph.facets if e & {0, 1}}
         assert len(hub_edges) == 11

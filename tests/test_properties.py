@@ -1,5 +1,5 @@
-"""Property tests: the packed monomial layer, symbolic powers and the
-Hilbert-basis engine against oracles.
+"""Property tests: the packed monomial layer, symbolic powers, the
+Hilbert-basis engine and graph cover splits against oracles.
 
 Inputs are drawn by hypothesis with a fixed derandomized seed and small
 example counts, so the suite stays quick and every run checks the same
@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from coveralg.algebra import compare_powers, squarefree_symbolic_power
-from coveralg.complexes import WeightedComplex, cover_complex
+from coveralg.complexes import WeightedComplex, cover_complex, is_cover
 from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InternalError
+from coveralg.graphs import split
 from coveralg.monomial import MonomialIdeal, Packing, minimal_elements
 
 small = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -100,6 +101,49 @@ def weighted_complexes(draw):
     weight = st.integers(1, 4)
     weights = draw(st.lists(weight, min_size=len(facets), max_size=len(facets)))
     return WeightedComplex.validate(n, facets, weights)
+
+
+@st.composite
+def graph_covers(draw):
+    """A graph on 2 to 7 vertices with a cover a of order k it can split.
+
+    Either bipartite, with weights 1 to 5 and k >= 0, or with unit weights,
+    an odd cycle on the first 3 or 5 vertices and k >= 3. The cover tops a
+    drawn vector up on one end of each edge it falls short on.
+    """
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 7))
+        side = [0, 1] + draw(st.lists(st.booleans(), min_size=n - 2, max_size=n - 2))
+        pairs = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
+        edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        weights = draw(st.lists(st.integers(1, 5), min_size=len(edges),
+                                max_size=len(edges)))
+        k = draw(st.integers(0, 8))
+    else:
+        n = draw(st.integers(3, 7))
+        odd = 3 if n < 5 else 5
+        cycle = {(i, i + 1) for i in range(odd - 1)} | {(0, odd - 1)}
+        pairs = list(combinations(range(n), 2))
+        edges = cycle | set(draw(st.lists(st.sampled_from(pairs), unique=True)))
+        weights = None
+        k = draw(st.integers(3, 8))
+    graph = WeightedComplex.validate(n, edges, weights)
+    a = draw(st.lists(st.integers(0, 3 * k), min_size=n, max_size=n))
+    for f, w in zip(graph.facets, graph.weights):
+        short = k * w - sum(a[v] for v in f)
+        if short > 0:
+            a[draw(st.sampled_from(sorted(f)))] += short
+    return graph, tuple(a), k
+
+
+@small
+@given(graph_covers())
+def test_split_parts_are_covers_summing_to_the_cover(case):
+    graph, a, k = case
+    parts = split(graph, a, k)
+    assert tuple(map(sum, zip(*(p.a for p in parts)))) == a
+    assert sum(p.k for p in parts) == k
+    assert all(is_cover(graph, p.a, p.k) for p in parts)
 
 
 @small
