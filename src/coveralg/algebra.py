@@ -35,11 +35,12 @@ def generators(
     complex_: WeightedComplex,
     degree_cap: int | None = None,
 ) -> AlgebraPresentation:
-    """Minimal algebra generators: positive-degree Hilbert basis points.
+    """Minimal algebra generators, by degree and then coordinates.
 
-    The algebra of a graph with unit weights is generated in degree <= 2
-    (Herzog, Hibi and Trung, Adv. Math. 210 (2007)), so there a cap of 2
-    or more cuts nothing off and the presentation is not truncated.
+    They are the positive-degree Hilbert basis points. The algebra of a
+    graph with unit weights is generated in degree <= 2 (Herzog, Hibi and
+    Trung, Adv. Math. 210 (2007)), so there a cap of 2 or more cuts
+    nothing off and the presentation is not truncated.
     """
     basis = hilbert_basis(build_cone(complex_), degree_cap)
     gens = tuple(

@@ -186,7 +186,7 @@ def _check_standard(complex_: WeightedComplex) -> Output:
     pres = algebra.generators(complex_)
     d = algebra.max_degree(pres)
     verdict = _standard_graded(d)
-    witness = None if verdict else max(pres.generators, key=lambda g: (g.k, g.a))
+    witness = None if verdict else pres.generators[-1]  # the last in degree order
     record = {"check": "standard", "verdict": verdict, "max_degree": d,
               "witness": None if witness is None else _point(witness)}
 

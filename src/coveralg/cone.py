@@ -17,8 +17,8 @@ bit of each field is a guard bit, zero in every stored element, so a
 pair sum is one int addition and a reducibility test one subtraction and
 one mask. A sum that reaches a guard bit, or a value too large for its
 field, makes the cut start over with every field twice as wide; no value
-is ever clipped, and the points are unpacked only at the end. Each
-element carries its total degree next to it, which orders the sums.
+is ever clipped, and the points are unpacked only at the end. Int order
+orders the sums, as it extends the order "lies below" (see `_cut`).
 
 All arithmetic is on Python ints; no floating point enters any verdict.
 """
@@ -33,7 +33,6 @@ from .complexes import WeightedComplex
 from .monomial import guard_bits
 
 LatticePoint = tuple[int, ...]
-Element = tuple[int, int]  # packed slack vector, total degree
 
 
 @dataclass(frozen=True)
@@ -87,29 +86,28 @@ def _pack(values: Sequence[int], width: int) -> int:
 
 
 def _cut(
-    basis: list[Element],
+    basis: list[int],
     row: Sequence[int],
     cap: int | None,
     fields: int,
     width: int,
-) -> tuple[list[Element], bool] | None:
+) -> tuple[list[int], bool] | None:
     """Hilbert basis of C ∩ {row >= 0} from the Hilbert basis of C.
 
     Each element is a packed slack vector of `fields` fields, `width` bits
-    each, with its total degree: the point's coordinates followed by its
-    values on the rows cut before, so y - x lies in C exactly when x's
-    slack is componentwise below y's. The basis splits by the sign of
-    lam = row . x, the two sides sharing lam = 0; a side element also
-    holds |lam| in one more field. Sums p + q with lam(p) > 0 > lam(q) are
-    formed from pairs with at least one element new since the last round;
-    a sum joins each side its lam allows unless an element of that side
-    lies below it in slack and |lam|. The sides only grow, and the
-    completion stops when a round adds nothing. The basis of the cut is
-    then the minimal part of the lam >= 0 side, its |lam| field becoming
-    the new row's slack. No sum of t-degree above the cap is formed (the
-    flag returned says if one was skipped); t only adds under sums and
-    nothing with a larger t reduces an element, so the cut's points up to
-    the cap are exact.
+    each: the point's coordinates followed by its values on the rows cut
+    before, so y - x lies in C exactly when x's slack is componentwise
+    below y's. The basis splits by the sign of lam = row . x, the two
+    sides sharing lam = 0; a side element also holds |lam| in one more
+    field. Sums p + q with lam(p) > 0 > lam(q) are formed from pairs with
+    at least one element new since the last round; a sum joins each side
+    its lam allows unless an element of that side lies below it in slack
+    and |lam|. The sides only grow, and the completion stops when a round
+    adds nothing. The basis of the cut is then the minimal part of the
+    lam >= 0 side, its |lam| field becoming the new row's slack. No sum of
+    t-degree above the cap is formed (the flag returned says if one was
+    skipped); t only adds under sums and nothing with a larger t reduces
+    an element, so the cut's points up to the cap are exact.
 
     With every guard bit zero, y lies below x in every field exactly when
     ((x | H) - y) & H == H for the mask H of the guard bits: field by field
@@ -119,55 +117,54 @@ def _cut(
     between its summands', so only a start value can overflow the |lam|
     field. A sum that sets a guard bit, or a start |lam| above the field's
     maximum, is an overflow, and the cut returns None; the caller widens
-    the fields and cuts again, so no value is ever clipped.
+    the fields and cuts again, so no value is ever clipped. Int order
+    extends "lies below": with the guard bits zero, y below x field by
+    field makes y <= x as ints, and |lam| depends on the point fields
+    alone. So the sums are met in int order, and as the next cut is
+    correct in any order of C's basis, the result is left unsorted.
     """
-    d = len(row)
     mask = (1 << width) - 1
     top = mask >> 1  # largest value a field holds
     shift = fields * width  # where the |lam| field starts
     guards = guard_bits(fields + 1, width)
-    t_at = (d - 1) * width
+    t_at = (len(row) - 1) * width
     terms = [(i * width, c) for i, c in enumerate(row) if c]
     sides: dict[int, list[int]] = {1: [], -1: []}  # packed slack and |lam|
-    degrees: list[int] = []  # total degrees of sides[1]
-    # (packed slack, lam, degree, t) of the elements with lam != 0
-    fresh: dict[int, list[tuple[int, int, int, int]]] = {1: [], -1: []}
-    paired: dict[int, list[tuple[int, int, int, int]]] = {1: [], -1: []}
-    for x, e in basis:
+    # (packed slack, lam, t) of the elements with lam != 0
+    fresh: dict[int, list[tuple[int, int, int]]] = {1: [], -1: []}
+    paired: dict[int, list[tuple[int, int, int]]] = {1: [], -1: []}
+    for x in basis:
         lam = sum(c * ((x >> at) & mask) for at, c in terms)
         if abs(lam) > top:
             return None
         if lam >= 0:
             sides[1].append(x | lam << shift)
-            degrees.append(e + lam)
         if lam <= 0:
             sides[-1].append(x | -lam << shift)
         if lam:
-            fresh[1 if lam > 0 else -1].append((x, lam, e, (x >> t_at) & mask))
+            fresh[1 if lam > 0 else -1].append((x, lam, (x >> t_at) & mask))
 
     skipped = False
     ends = [len(sides[1])]  # where each round's sums start on sides[1]
     while fresh[1] or fresh[-1]:
-        sums: dict[int, tuple[int, int]] = {}  # packed slack: (lam, degree)
+        sums: dict[int, int] = {}  # packed slack: lam
         for plus, minus in (
             (fresh[1], paired[-1] + fresh[-1]),
             (paired[1], fresh[-1]),
         ):
-            for x, lam, e, t in plus:
+            for x, lam, t in plus:
                 # t-degree left for the summand; inf is only compared
                 room = inf if cap is None else cap - t
-                for y, mu, f, u in minus:
+                for y, mu, u in minus:
                     if u > room:
                         skipped = True
                     else:
-                        sums.setdefault(x + y, (lam + mu, e + f))
+                        sums.setdefault(x + y, lam + mu)
         for sign in (1, -1):
             paired[sign] += fresh[sign]
             fresh[sign] = []
-        # smallest first, so that fewer reducible sums join a side
-        for z, (lam, e) in sorted(
-            sums.items(), key=lambda item: item[1][1] + abs(item[1][0])
-        ):
+        # smallest first: nothing met later lies below a sum that joined
+        for z, lam in sorted(sums.items()):
             if z & guards:
                 return None
             for sign in (1, -1):
@@ -180,29 +177,26 @@ def _cut(
                         break
                 else:
                     sides[sign].append(full)
-                    if sign == 1:
-                        degrees.append(e + lam)
                     if lam:
-                        fresh[sign].append((z, lam, e, (z >> t_at) & mask))
+                        fresh[sign].append((z, lam, (z >> t_at) & mask))
         ends.append(len(sides[1]))
 
     # The minimal part of sides[1]. The elements of C's basis come first;
     # they are irreducible in C, so no other element of C lies below them.
     # A sum lay above nothing on its side when it joined, and what joined
-    # later in its round has no lower degree: only a sum of a later round
-    # can lie below it.
+    # later in its round came later in int order: only a sum of a later
+    # round can lie below it.
     side = sides[1]
-    kept = list(zip(side[: ends[0]], degrees))
+    kept = side[: ends[0]]
     for start, end in zip(ends, ends[1:]):
         later = side[end:]
-        for x, e in zip(side[start:end], degrees[start:end]):
+        for x in side[start:end]:
             high = x | guards
             for y in later:
                 if (high - y) & guards == guards:
                     break
             else:
-                kept.append((x, e))
-    kept.sort(key=lambda item: item[1])  # the next cut meets low degrees first
+                kept.append(x)
     return kept, skipped
 
 
@@ -231,21 +225,19 @@ def hilbert_basis(
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     width = _START_WIDTH
-    basis: list[Element] = [(1 << i * width, 1) for i in range(d)]
+    basis = [1 << i * width for i in range(d)]
     fields = d
     truncated = False
     for row in system.rows:
         if row in units:
             continue
         while (cut := _cut(basis, row, degree_cap, fields, width)) is None:
-            basis = [
-                (_pack(_unpack(x, fields, width), 2 * width), e) for x, e in basis
-            ]
+            basis = [_pack(_unpack(x, fields, width), 2 * width) for x in basis]
             width *= 2
         basis, skipped = cut
         truncated |= skipped
         fields += 1
     cap = inf if degree_cap is None else degree_cap
-    points = [tuple(_unpack(x, d, width)) for x, _ in basis]
+    points = [tuple(_unpack(x, d, width)) for x in basis]
     points = sorted((p for p in points if p[-1] <= cap), key=_point_key)
     return HilbertBasis(d, tuple(points), truncated or len(points) < len(basis))

@@ -19,9 +19,10 @@ widens or starts over; a sum that sets a guard bit is a bug and raises
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from operator import le, lshift
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 
@@ -234,35 +235,34 @@ class MonomialIdeal:
     def __pow__(self, k: int) -> MonomialIdeal:
         return self.power(k)
 
-    def colon(self, other: MonomialIdeal) -> MonomialIdeal:
-        """Ideal quotient (self : other)."""
+    def _meet(
+        self, other: MonomialIdeal, what: str, step: Callable[[ExpVec, ExpVec], ExpVec]
+    ) -> MonomialIdeal:
+        """Intersect, over other's generators g, the ideals of the step(f, g)."""
         self._same_ring(other)
         if other.is_zero:
-            raise ZeroIdealColon("colon by the zero ideal is undefined")
-        result: MonomialIdeal | None = None
-        for g in other.gens:
-            shifted = MonomialIdeal(
-                self.n,
-                minimal_elements(
-                    tuple(max(a - b, 0) for a, b in zip(f, g)) for f in self.gens
-                ),
-            )
-            result = shifted if result is None else result.intersect(shifted)
-        if result is None:
-            raise InternalError("colon by a nonzero ideal left no result")
-        return result
+            raise ZeroIdealColon(f"{what} by the zero ideal is undefined")
+        return reduce(MonomialIdeal.intersect, (
+            MonomialIdeal(self.n, minimal_elements(step(f, g) for f in self.gens))
+            for g in other.gens
+        ))
+
+    def colon(self, other: MonomialIdeal) -> MonomialIdeal:
+        """Ideal quotient (self : other), the intersection of the (self : g)."""
+        return self._meet(
+            other, "colon", lambda f, g: tuple(max(a - b, 0) for a, b in zip(f, g))
+        )
 
     def saturate(self, other: MonomialIdeal) -> MonomialIdeal:
-        """(self : other^infinity), reached as a finite colon chain."""
-        self._same_ring(other)
-        if other.is_zero:
-            raise ZeroIdealColon("saturation by the zero ideal is undefined")
-        current = self
-        while True:
-            nxt = current.colon(other)
-            if nxt == current:
-                return current
-            current = nxt
+        """(self : other^infinity) in closed form.
+
+        (self : g^infinity) is self with the variables of supp(g) set to 1,
+        and the saturation by other is the intersection of these over
+        other's generators g.
+        """
+        return self._meet(
+            other, "saturation", lambda f, g: tuple(0 if b else a for a, b in zip(f, g))
+        )
 
     def symbolic_power(self, k: int, wrt: MonomialIdeal) -> MonomialIdeal:
         """k-th power saturated by wrt."""

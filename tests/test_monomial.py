@@ -202,6 +202,28 @@ class TestSaturate:
             assert chain.colon(j) == chain, "oracle chain did not stabilize"
             assert i.saturate(j) == chain
 
+    def test_closed_form_makes_no_colon_call(self, monkeypatch):
+        n = 6
+        c6 = ideal(n, *(
+            tuple(int(v in (e, (e + 1) % n)) for v in range(n)) for e in range(n)
+        ))
+        square = c6**2
+        maxl = ideal(n, *(tuple(int(v == i) for v in range(n)) for i in range(n)))
+        wrts = [ideal(n, (1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)), maxl]
+        chains = []
+        for j in wrts:
+            chain, nxt = None, square
+            while nxt != chain:
+                chain, nxt = nxt, nxt.colon(j)
+            chains.append(chain)
+
+        def no_colon(self, other):
+            raise AssertionError("saturate called colon")
+
+        monkeypatch.setattr(MonomialIdeal, "colon", no_colon)
+        for j, chain in zip(wrts, chains):
+            assert square.saturate(j) == chain
+
     def test_idempotent(self):
         i = ideal(2, (2, 1), (0, 3))
         j = ideal(2, (1, 1))
