@@ -1,12 +1,13 @@
 """Hilbert bases of cover cones in Z^(n+1), fully exact, by dual mode.
 
-A cover cone is given by inequality rows: one per facet, then the n+1
-nonnegativity rows. Its Hilbert basis is computed by Pottier's completion
-("The Euclidean algorithm in dimension n", ISSAC 1996), in the form
-Normaliz calls dual mode (Bruns and Ichim, J. Algebra 324 (2010), §4):
-start from the unit vectors, which generate the orthant's lattice points,
-and cut by one facet row at a time, completing the basis of each cut by
-pair sums across the new hyperplane until no new element appears.
+A cover is a vector in N^n, so a cover cone is the nonnegative orthant
+cut by one inequality row per facet. Its Hilbert basis is computed by
+Pottier's completion ("The Euclidean algorithm in dimension n", ISSAC
+1996), in the form Normaliz calls dual mode (Bruns and Ichim, J. Algebra
+324 (2010), §4): start from the unit vectors, which generate the
+orthant's lattice points, and cut by one facet row at a time, completing
+the basis of each cut by pair sums across the new hyperplane until no new
+element appears.
 
 The completion holds each element as one Python int of fixed-width
 fields, lowest first: the n+1 point coordinates, one slack field for
@@ -26,7 +27,6 @@ All arithmetic is on Python ints; no floating point enters any verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Sequence
 
 from .complexes import WeightedComplex
@@ -37,6 +37,8 @@ LatticePoint = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ConeSystem:
+    """The cone {x >= 0 : row . x >= 0 for every row} in Z^dim."""
+
     dim: int
     rows: tuple[tuple[int, ...], ...]
 
@@ -51,18 +53,13 @@ class HilbertBasis:
 def build_cone(complex_: WeightedComplex) -> ConeSystem:
     """Inequality system whose lattice points are the covers of all orders.
 
-    One row per facet (+1 on the facet's coordinates, -weight on the last)
-    followed by n+1 nonnegativity rows.
+    One row per facet: +1 on the facet's coordinates, -weight on the last.
     """
     n = complex_.n
     rows = []
     for f, w in zip(complex_.facets, complex_.weights):
         row = [1 if i in f else 0 for i in range(n)]
         row.append(-w)
-        rows.append(tuple(row))
-    for i in range(n + 1):
-        row = [0] * (n + 1)
-        row[i] = 1
         rows.append(tuple(row))
     return ConeSystem(n + 1, tuple(rows))
 
@@ -153,8 +150,8 @@ def _cut(
             (paired[1], fresh[-1]),
         ):
             for x, lam, t in plus:
-                # t-degree left for the summand; inf is only compared
-                room = inf if cap is None else cap - t
+                # t-degree left for the summand; no stored t exceeds top
+                room = top if cap is None else cap - t
                 for y, mu, u in minus:
                     if u > room:
                         skipped = True
@@ -206,38 +203,28 @@ def hilbert_basis(
 ) -> HilbertBasis:
     """Unique minimal generating set of the monoid of lattice points.
 
-    Requires every unit row e_i among the system's rows, so that the cone
-    lies in the nonnegative orthant, whose basis the completion starts
-    from; `build_cone` always emits them. Every other row is then cut in
-    turn (see `_cut`). All basis points are returned, the degree-0 units
-    included, sorted by degree then coordinates. A degree cap keeps
-    exactly the points up to it and forms no pair sum above it; truncated
-    says it dropped a sum or a point, so False proves the basis whole.
+    The completion starts from the unit vectors, the orthant's basis, and
+    cuts by each row in turn (see `_cut`). All basis points are returned,
+    the degree-0 units included, sorted by degree then coordinates. A
+    degree cap keeps exactly the points up to it and forms no pair sum
+    above it; truncated says it dropped a sum or a point, so False proves
+    the basis whole.
     """
-    d = system.dim
-    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-    missing = [i for i, e in enumerate(units) if e not in system.rows]
-    if missing:
-        raise ValueError(
-            f"system lacks the nonnegativity rows of coordinates {missing}; "
-            "the completion needs a cone inside the orthant"
-        )
     if degree_cap is not None and degree_cap < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
+    d = system.dim
     width = _START_WIDTH
     basis = [1 << i * width for i in range(d)]
     fields = d
     truncated = False
     for row in system.rows:
-        if row in units:
-            continue
         while (cut := _cut(basis, row, degree_cap, fields, width)) is None:
             basis = [_pack(_unpack(x, fields, width), 2 * width) for x in basis]
             width *= 2
         basis, skipped = cut
         truncated |= skipped
         fields += 1
-    cap = inf if degree_cap is None else degree_cap
     points = [tuple(_unpack(x, d, width)) for x in basis]
-    points = sorted((p for p in points if p[-1] <= cap), key=_point_key)
+    points = [p for p in points if degree_cap is None or p[-1] <= degree_cap]
+    points.sort(key=_point_key)
     return HilbertBasis(d, tuple(points), truncated or len(points) < len(basis))

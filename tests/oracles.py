@@ -119,14 +119,21 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def all_rows(system: ConeSystem) -> tuple[tuple[int, ...], ...]:
+    """The system's rows followed by the orthant's unit rows."""
+    d = system.dim
+    units = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    return system.rows + units
+
+
 def in_cone(system: ConeSystem, p: Sequence[int]) -> bool:
-    """True iff every inequality row of the system evaluates >= 0 on p."""
+    """True iff p >= 0 and every row of the system evaluates >= 0 on p."""
     pv = tuple(int(x) for x in p)
     if len(pv) != system.dim:
         raise DimensionMismatch(
             f"point of length {len(pv)} in a dimension-{system.dim} system"
         )
-    return all(dot(row, pv) >= 0 for row in system.rows)
+    return all(dot(row, pv) >= 0 for row in all_rows(system))
 
 
 # --- odd cycle domination, a graph filter ---------------------------------
@@ -627,7 +634,7 @@ def _point_key(p: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 def extreme_rays(system: ConeSystem) -> tuple[Ray, ...]:
     """Primitive extreme rays by incremental double description.
 
-    The cone is a subset of the nonnegative orthant (its invariant), so we
+    A `ConeSystem` lies in the nonnegative orthant by definition, so we
     start from the orthant's unit rays and cut with each row in turn. Ray
     adjacency uses the standard combinatorial test on tight-row sets,
     which is valid because every intermediate cone here is pointed.
@@ -792,7 +799,8 @@ def primal_hilbert_basis(system: ConeSystem) -> tuple[LatticePoint, ...]:
         candidates.update(p for p in parallelepiped_points(sc) if p != zero)
 
     ordered = sorted(candidates, key=_point_key)
-    slacks = [tuple(dot(row, c) for row in system.rows) for c in ordered]
+    rows = all_rows(system)
+    slacks = [tuple(dot(row, c) for row in rows) for c in ordered]
 
     def irreducible(i: int) -> bool:
         si = slacks[i]

@@ -14,6 +14,7 @@ from coveralg.graphs import family_instance
 from oracles import (
     DegenerateCone,
     SimplicialSubcone,
+    all_rows,
     decompose_lattice_point,
     det,
     dot,
@@ -80,16 +81,11 @@ class TestBuildCone:
     def test_single_edge_rows(self):
         system = build_cone(single_edge())
         assert system.dim == 3
-        assert set(system.rows) == {
-            (1, 1, -1),
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-        }
+        assert system.rows == ((1, 1, -1),)
 
     def test_triangle_row_count(self):
         system = build_cone(triangle())
-        assert len(system.rows) == 3 + 4
+        assert len(system.rows) == 3
 
     def test_order_two_cover_is_lattice_point(self):
         assert in_cone(build_cone(triangle()), (1, 1, 1, 2))
@@ -126,7 +122,7 @@ class TestExtremeRays:
 
     def test_triangle_matches_cross_section_oracle(self):
         system = build_cone(triangle())
-        want = oracles.extreme_rays_bruteforce(system.rows, system.dim)
+        want = oracles.extreme_rays_bruteforce(all_rows(system), system.dim)
         assert set(extreme_rays(system)) == want
         assert (1, 1, 1, 2) in want
 
@@ -136,7 +132,7 @@ class TestExtremeRays:
             c = random_antichain_complex(rng, rng.randint(2, 4))
             system = build_cone(c)
             got = set(extreme_rays(system))
-            want = oracles.extreme_rays_bruteforce(system.rows, system.dim)
+            want = oracles.extreme_rays_bruteforce(all_rows(system), system.dim)
             assert got == want
 
     def test_rays_satisfy_all_rows_and_are_primitive(self):
@@ -397,7 +393,7 @@ class TestHilbertBasis:
                 )
             ordered = sorted(candidates, key=lambda p: (p[-1], p[:-1]))
             slacks = [
-                tuple(dot(row, p) for row in system.rows) for p in ordered
+                tuple(dot(row, p) for row in all_rows(system)) for p in ordered
             ]
             kept = tuple(
                 p
@@ -412,18 +408,20 @@ class TestHilbertBasis:
 
     def test_basis_independent_of_row_order(self):
         # the completion cuts the rows in the order given; only the work
-        # may depend on that order, never the basis
+        # may depend on that order, never the basis, and an explicit unit
+        # row, which the orthant already implies, changes nothing
         rng = random.Random(131)
         instances = [triangle(), family_instance(2, 2).complex]
         instances += [random_weighted_complex(rng) for _ in range(30)]
         for c in instances:
             system = build_cone(c)
             reference = hilbert_basis(system).points
-            for _ in range(3):
-                rows = list(system.rows)
-                rng.shuffle(rows)
-                shuffled = ConeSystem(system.dim, tuple(rows))
-                assert hilbert_basis(shuffled).points == reference
+            for given in (system.rows, all_rows(system)):
+                for _ in range(3):
+                    rows = list(given)
+                    rng.shuffle(rows)
+                    shuffled = ConeSystem(system.dim, tuple(rows))
+                    assert hilbert_basis(shuffled).points == reference
 
     def test_matches_bruteforce_irreducibles_in_box(self):
         # every coordinate of a cone point dominates the coordinates of any
@@ -508,7 +506,6 @@ class TestHilbertBasis:
     def test_fields_widen_exactly_past_the_start_width(self):
         # the completion packs each element into one int of 8-bit fields,
         # the top bit a guard; no field may be clipped at 127
-        units = ((1, 0), (0, 1))
         cases = {
             # a start value of 127 is the largest that fits
             ((1, -127),): ((1, 0), (127, 1)),
@@ -525,7 +522,7 @@ class TestHilbertBasis:
             ((0, 70), (-3, 2)): ((0, 1), (1, 2), (2, 3)),
         }
         for rows, want in cases.items():
-            system = ConeSystem(2, rows + units)
+            system = ConeSystem(2, rows)
             assert hilbert_basis(system) == HilbertBasis(2, want, False), rows
             assert primal_hilbert_basis(system) == want
         basis = hilbert_basis(build_cone(WEIGHT_200))
@@ -551,14 +548,14 @@ class TestHilbertBasis:
             rows = tuple(
                 (coefficient(), coefficient()) for _ in range(rng.randint(1, 2))
             )
-            system = ConeSystem(2, rows + ((1, 0), (0, 1)))
+            system = ConeSystem(2, rows)
             try:
                 want = primal_hilbert_basis(system)
             except DegenerateCone:
                 continue
             basis = hilbert_basis(system)
             assert basis.points == want, rows
-            slacks = [tuple(dot(row, p) for row in system.rows) for p in want]
+            slacks = [tuple(dot(row, p) for row in all_rows(system)) for p in want]
             for i, x in enumerate(slacks):
                 for j, y in enumerate(slacks):
                     assert i == j or not all(map(le, y, x)), (rows, x, y)
@@ -579,11 +576,14 @@ class TestHilbertBasis:
         no_vertices = build_cone(WeightedComplex.validate(0, []))
         assert hilbert_basis(no_vertices) == HilbertBasis(1, ((1,),), False)
 
-    def test_system_outside_the_orthant_rejected(self):
-        # without the row y >= 0 the completion has no orthant to start from
-        system = ConeSystem(2, ((1, 0), (1, 1)))
-        with pytest.raises(ValueError, match="nonnegativity"):
-            hilbert_basis(system)
+    def test_rows_are_read_inside_the_orthant(self):
+        # the one row x - y >= 0 is read inside the orthant, so the cone is
+        # x >= y >= 0, and stating the orthant's rows again changes nothing
+        want = HilbertBasis(2, ((1, 0), (1, 1)), False)
+        system = ConeSystem(2, ((1, -1),))
+        assert hilbert_basis(system) == want
+        explicit = ConeSystem(2, system.rows + ((0, 1), (1, 0)))
+        assert hilbert_basis(explicit) == want
 
     def test_matches_primal_oracle_on_named_instances(self):
         instances = [
