@@ -8,11 +8,10 @@ squared-integer comparators so every verdict is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import isqrt
 from operator import itemgetter, or_
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .complexes import CoverPoint, WeightedComplex, cover_complex, facet_complex
 from .cone import build_cone, hilbert_basis
@@ -20,8 +19,7 @@ from .errors import InternalError, NonSquarefreeIdeal, TruncatedPresentation
 from .monomial import ExpVec, MonomialIdeal, Packing
 
 
-@dataclass(frozen=True)
-class AlgebraPresentation:
+class AlgebraPresentation(NamedTuple):
     complex: WeightedComplex
     generators: tuple[CoverPoint, ...]
     truncated: bool
@@ -61,8 +59,7 @@ def max_degree(presentation: AlgebraPresentation) -> int:
     return max((g.k for g in presentation.generators), default=0)
 
 
-@dataclass(frozen=True)
-class GorensteinReport:
+class GorensteinReport(NamedTuple):
     verdict: bool | None
     stripped: tuple[tuple[int, int], ...]
     offending: tuple[tuple[tuple[int, ...], int], ...]
@@ -172,8 +169,7 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     return MonomialIdeal(ideal.n, tuple(map(packing.unpack, sorted(sums[k]))))
 
 
-@dataclass(frozen=True)
-class PowerComparison:
+class PowerComparison(NamedTuple):
     equal: bool
     witness: ExpVec | None
 

@@ -20,8 +20,10 @@ from typing import Iterable, Iterator, Sequence
 from . import algebra
 from .complexes import CoverPoint, WeightedComplex, skeleton_generators
 from .errors import DimensionMismatch, InternalError
-from .graphs import bipartition, decompose, family_instance, neighbors, split
 from .monomial import MonomialIdeal, monomial_str
+
+# The graph commands import from .graphs inside their functions: the other
+# commands never call it, and each process pays for what it imports.
 
 USAGE_EXIT = 1
 INPUT_EXIT = 2
@@ -70,6 +72,7 @@ def _parse_cover(text: str, n: int) -> tuple[tuple[int, ...], int]:
 
 def _resolve_complex(args: argparse.Namespace) -> WeightedComplex:
     if args.family:
+        from .graphs import family_instance
         if args.complex_file:
             m, k = args.family
             raise ValueError(
@@ -165,6 +168,7 @@ def cmd_compare(args: argparse.Namespace) -> Output:
 
 
 def _check_bipartite(complex_: WeightedComplex) -> Output:
+    from .graphs import bipartition
     bip = bipartition(complex_)
     parts = [sorted(v + 1 for v in p) for p in bip.parts] if bip.is_bipartite else None
     odd_cycle = None if bip.is_bipartite else [v + 1 for v in bip.odd_cycle]
@@ -258,6 +262,7 @@ def cmd_check(args: argparse.Namespace) -> Output:
 
 
 def cmd_decompose(args: argparse.Namespace) -> Output:
+    from .graphs import decompose, family_instance
     if args.family and not (args.cover or args.complex_file):
         inst = family_instance(*args.family)  # with its distinguished cover
         complex_, a, k = inst.complex, inst.cover, inst.order
@@ -279,6 +284,7 @@ def cmd_decompose(args: argparse.Namespace) -> Output:
 
 
 def cmd_split(args: argparse.Namespace) -> Output:
+    from .graphs import neighbors, split
     complex_ = _load_complex(args.complex_file)
     neighbors(complex_)  # a facet that is no edge outranks a malformed cover
     parts = split(complex_, *_parse_cover(args.cover, complex_.n))
@@ -292,6 +298,7 @@ def cmd_skeleton(args: argparse.Namespace) -> Output:
 
 
 def cmd_family(args: argparse.Namespace) -> Output:
+    from .graphs import family_instance
     inst = family_instance(args.m, args.k)
     data = inst.complex.to_dict()
     data["cover"] = {"a": list(inst.cover), "k": inst.order}

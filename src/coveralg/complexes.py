@@ -8,7 +8,6 @@ every facet F satisfies sum(a[i] for i in F) >= k * weight(F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -25,8 +24,7 @@ def _facet_key(f: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     return (len(f), tuple(sorted(f)))
 
 
-@dataclass(frozen=True)
-class WeightedComplex:
+class WeightedComplex(NamedTuple):
     n: int
     facets: tuple[frozenset[int], ...]
     weights: tuple[int, ...]

@@ -26,8 +26,7 @@ All arithmetic is on Python ints; no floating point enters any verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import WeightedComplex
 from .monomial import guard_bits
@@ -35,16 +34,14 @@ from .monomial import guard_bits
 LatticePoint = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConeSystem:
+class ConeSystem(NamedTuple):
     """The cone {x >= 0 : row . x >= 0 for every row} in Z^dim."""
 
     dim: int
     rows: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
+class HilbertBasis(NamedTuple):
     dim: int
     points: tuple[LatticePoint, ...]
     truncated: bool

@@ -7,9 +7,8 @@ package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import generators
 from .complexes import CoverPoint, WeightedComplex, is_cover
@@ -30,8 +29,7 @@ def neighbors(complex_: WeightedComplex) -> list[set[int]]:
     return adj
 
 
-@dataclass(frozen=True)
-class Bipartition:
+class Bipartition(NamedTuple):
     parts: tuple[frozenset[int], frozenset[int]] | None
     odd_cycle: tuple[int, ...] | None
 
@@ -146,8 +144,7 @@ def split(
     return [CoverPoint(eps, 2), CoverPoint(rest, k - 2)]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     b: ExpVec
     i: int
     c: ExpVec
@@ -187,8 +184,7 @@ def decompose(
     return Decomposition(b, i, c, k - i)
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     graph: WeightedComplex
     complex: WeightedComplex
     cover: ExpVec

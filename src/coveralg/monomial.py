@@ -18,11 +18,10 @@ widens or starts over; a sum that sets a guard bit is a bug and raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import le, lshift
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 
@@ -142,8 +141,7 @@ def _checked(n: int, vectors: Iterable[Iterable[int]]) -> list[ExpVec]:
     return vecs
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     n: int
     gens: tuple[ExpVec, ...]
 

@@ -63,14 +63,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def coveralg_process(*argv, **env):
-    """`python -m coveralg.cli argv` in a fresh interpreter."""
+def python_process(*args, **env):
+    """`python args` in a fresh interpreter that imports this coveralg."""
     path = str(Path(coveralg.__file__).parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "coveralg.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=path, **env),
     )
+
+
+def coveralg_process(*argv, **env):
+    """`python -m coveralg.cli argv` in a fresh interpreter."""
+    return python_process("-m", "coveralg.cli", *argv, **env)
 
 
 class TestBasis:
@@ -585,6 +590,46 @@ def test_calls_in_one_process_match_fresh_processes(
         out, err = capsys.readouterr()
         proc = coveralg_process(*argv, COLUMNS="80")
         assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+# argv, and whether the call loads coveralg.graphs
+START_UP_CALLS = {
+    "basis-family": (["basis", "--family", "2", "2"], True),
+    "check-bipartite": (["check", "{triangle}", "bipartite"], True),
+    "decompose-family": (["decompose", "--family", "2", "2"], True),
+    "split": (["split", "{edge}", "--cover", "2,1;3"], True),
+    "family": (["family", "2", "2"], True),
+    "basis-file": (["basis", "{triangle}"], False),
+    "check-standard": (["check", "{triangle}", "standard"], False),
+    "symbolic": (["symbolic", "{ideal}", "-n", "2"], False),
+    "power": (["power", "{ideal}", "-n", "2"], False),
+    "compare": (["compare", "{ideal}", "-n", "2"], False),
+}
+
+
+class TestStartUp:
+    """Each command is one process, so what `coveralg.cli` imports is paid on every call."""
+
+    def test_import_loads_neither_dataclasses_nor_graphs(self):
+        proc = python_process("-c", (
+            "import sys, coveralg.cli; "
+            "print([m for m in ('dataclasses', 'coveralg.graphs') if m in sys.modules])"
+        ))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+    @pytest.mark.parametrize(
+        "argv, graphs_loaded", START_UP_CALLS.values(), ids=START_UP_CALLS.keys()
+    )
+    def test_graphs_loads_for_the_graph_commands_only(
+        self, triangle_file, edge_file, ideal_file, argv, graphs_loaded
+    ):
+        files = {"triangle": triangle_file, "edge": edge_file, "ideal": ideal_file}
+        proc = python_process("-c", (
+            "import sys; from coveralg.cli import main; status = main(sys.argv[1:]); "
+            "print('coveralg.graphs' in sys.modules, file=sys.stderr); sys.exit(status)"
+        ), *(a.format(**files) for a in argv))
+        assert (proc.returncode, proc.stderr) == (0, f"{graphs_loaded}\n")
+        assert proc.stdout
 
 
 class TestUsageErrors:

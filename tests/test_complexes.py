@@ -91,6 +91,18 @@ class TestValidate:
         assert c.facets == (frozenset({0}), frozenset({1, 2}))
         assert c.weights == (7, 5)
 
+    def test_record_repr_hash_and_immutability(self):
+        c = WeightedComplex.validate(3, [(1, 2), (0,)], [5, 7])
+        assert repr(c) == (
+            "WeightedComplex(n=3, facets=(frozenset({0}), frozenset({1, 2})), "
+            "weights=(7, 5))"
+        )
+        same = WeightedComplex.validate(3, [(0,), (2, 1)], [7, 5])
+        assert c == same and hash(c) == hash(same)
+        assert c != WeightedComplex.validate(3, [(1, 2), (0,)], [5, 8])
+        with pytest.raises(AttributeError):
+            c.weights = (1, 1)
+
     def test_file_round_trip_is_one_indexed(self):
         c = WeightedComplex.from_dict(
             {"n": 3, "facets": [[1, 2], [1, 3], [2, 3]]}

@@ -585,6 +585,17 @@ class TestHilbertBasis:
         explicit = ConeSystem(2, system.rows + ((0, 1), (1, 0)))
         assert hilbert_basis(explicit) == want
 
+    def test_record_repr_hash_and_immutability(self):
+        basis = hilbert_basis(ConeSystem(2, ((1, -1),)))
+        assert repr(basis) == (
+            "HilbertBasis(dim=2, points=((1, 0), (1, 1)), truncated=False)"
+        )
+        same = HilbertBasis(2, ((1, 0), (1, 1)), False)
+        assert basis == same and hash(basis) == hash(same)
+        assert basis != HilbertBasis(2, ((1, 0), (1, 1)), True)
+        with pytest.raises(AttributeError):
+            basis.truncated = True
+
     def test_matches_primal_oracle_on_named_instances(self):
         instances = [
             triangle(),

@@ -145,6 +145,21 @@ class TestMultiplyPowerSum:
         b = ideal(2, (0, 2))
         assert (a + b).gens == ((0, 2), (2, 0))
 
+    def test_operators_are_ideal_operations(self):
+        # an ideal is a tuple (n, gens); no operator may concatenate or
+        # repeat that tuple, or look for m among its two fields
+        i, j = ideal(2, (1, 0)), ideal(2, (0, 1))
+        results = {
+            "+": (i + j, ideal(2, (1, 0), (0, 1))),
+            "*": (i * j, ideal(2, (1, 1))),
+            "&": (i & j, ideal(2, (1, 1))),
+            "**": (i**3, ideal(2, (3, 0))),
+        }
+        for op, (got, want) in results.items():
+            assert type(got) is MonomialIdeal and got == want, op
+        assert (2, 0) in i and (0, 2) not in i
+        assert (0, 1) in j and (1, 0) not in j
+
 
 class TestColon:
     def test_examples(self):
@@ -268,6 +283,22 @@ class TestEquality:
 
     def test_zero_equals_zero(self):
         assert MonomialIdeal.zero(4) == MonomialIdeal.zero(4)
+
+    def test_repr(self):
+        assert repr(ideal(2, (1, 0))) == "MonomialIdeal(n=2, gens=((1, 0),))"
+        assert repr(MonomialIdeal.zero(3)) == "MonomialIdeal(n=3, gens=())"
+
+    def test_equal_ideals_hash_equal(self):
+        a, b = ideal(2, (1, 0), (0, 1)), ideal(2, (0, 1), (1, 0), (1, 1))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ideal(2, (1, 0))}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        i = ideal(2, (1, 0))
+        for field, value in (("n", 3), ("gens", ())):
+            with pytest.raises(AttributeError):
+                setattr(i, field, value)
+        assert i == ideal(2, (1, 0))
 
 
 class TestBruteForceMembershipOracle:
