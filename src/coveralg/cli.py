@@ -15,6 +15,8 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Sequence
 
 from . import algebra
@@ -394,6 +396,50 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _items(values: Iterable, indent: str) -> Iterable[str]:
+    """`_render(v, indent)` for each v of a re-iterable `values`, the
+    per-element work in C for ints, non-empty lists of ints, and dicts
+    sharing one tuple of str keys (rendered column by column)."""
+    types = {*map(type, values)}
+    if types == {int}:  # not bool: repr(True) is no JSON
+        return map(repr, values)
+    inner = indent + "  "
+    if types == {list} and all(values) and {*map(type, chain.from_iterable(values))} == {int}:
+        sep = "," + inner
+        return ["[" + inner + sep.join(map(repr, g)) + indent + "]" for g in values]
+    if types == {dict}:
+        keys = {*map(tuple, values)}
+        if len(keys) == 1 and {*map(type, *keys)} == {str}:
+            (keys,) = keys
+            heads = ["," + inner + _quote(k) + ": " for k in keys]
+            heads[0] = "{" + heads[0][1:]
+            columns = map(_items, zip(*map(dict.values, values)), repeat(inner))
+            # dict i is heads[0] + column 0's text i + heads[1] + ... + "}"
+            parts = chain.from_iterable(zip(map(repeat, heads), columns))
+            return map("".join, zip(*parts, repeat(indent + "}")))
+    return map(_render, values, repeat(indent))
+
+
+def _render(value: object, indent: str = "\n") -> str:
+    """Exactly `json.dumps(value, indent=2)`; `indent` opens the value's lines.
+
+    With an indent, CPython's json encodes in pure Python, several
+    generator steps per int, which costs as much as computing a large
+    answer. Here lists and str-keyed dicts are laid out by `_items`, and
+    json.dumps does the rest: without an indent it runs in C, and with
+    one its text only needs shifting, as JSON strings hold no raw newline.
+    """
+    inner = indent + "  "
+    if type(value) is list and value:
+        return "[" + inner + ("," + inner).join(_items(value, inner)) + indent + "]"
+    if type(value) is dict and value and {*map(type, value)} == {str}:
+        pairs = zip(map(_quote, value), _items(value.values(), inner))
+        return "{" + inner + ("," + inner).join(map(": ".join, pairs)) + indent + "}"
+    if isinstance(value, (list, tuple, dict)) and value:
+        return json.dumps(value, indent=2).replace("\n", indent)
+    return json.dumps(value)  # a scalar or an empty container: no layout
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -405,7 +451,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_EXIT
     if args.json:
-        print(json.dumps(record, indent=2))
+        print(_render(record))
     else:
         for line in lines:
             print(line)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain
 from operator import le, lshift
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 
@@ -34,8 +34,11 @@ def divides(f: ExpVec, m: ExpVec) -> bool:
 
 
 def guard_bits(fields: int, width: int) -> int:
-    """The guard bit, the top bit, of each of the lowest `fields` fields."""
-    return sum(1 << (i * width + width - 1) for i in range(fields))
+    """The guard bit, the top bit, of each of the lowest `fields` fields.
+
+    (2^(fields*width) - 1) / (2^width - 1) has the bottom bit of each set.
+    """
+    return ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
 
 
 class Packing:
@@ -207,6 +210,13 @@ class MonomialIdeal(NamedTuple):
         return MonomialIdeal(self.n, tuple(map(packing.unpack, product)))
 
     __mul__ = multiply
+
+    def __rmul__(self, other: object) -> NoReturn:
+        # without it, tuple repetition would answer `2 * ideal`
+        raise TypeError(
+            f"unsupported operand type(s) for *: {type(other).__name__!r} "
+            f"and {type(self).__name__!r}"
+        )
 
     def sum(self, other: MonomialIdeal) -> MonomialIdeal:
         self._same_ring(other)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coveralg
 from coveralg import cli, graphs
@@ -471,6 +472,96 @@ class TestSkeletonFamilyBound:
         code, out, _ = run(capsys, "bound", "3", "--json")
         assert code == 0
         assert json.loads(out) == {"n": 3, "max_degree": 7}
+
+
+ints = st.one_of(st.integers(-300, 300), st.integers(-(2**80), 2**80))
+# quotes, backslashes, newlines and control characters next to any character
+texts = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7f'), st.characters()),
+                max_size=5)
+keys = st.one_of(texts, ints)
+
+
+def _containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(keys, inner, max_size=4),
+        st.lists(ints, max_size=5),
+        st.lists(st.lists(ints, max_size=4), max_size=4),
+        # dicts that share one tuple of keys, as the rows of a table
+        st.lists(texts, max_size=3, unique=True).flatmap(
+            lambda ks: st.lists(st.fixed_dictionaries({k: inner for k in ks}), max_size=4)
+        ),
+    )
+
+
+json_values = st.recursive(st.one_of(st.none(), st.booleans(), ints, texts), _containers,
+                           max_leaves=25)
+
+LAYOUT_CORNERS = [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[[]], {"a": [{}]}], [[], [[1]]],
+    [1, True], [True, False], [[1], []], [[1], [True]], [[1, None]], {"a": (1, 2)},
+    [(1, 2), (3,)], [-1, 2**70, -(2**70)], {1: [1], "1": [2]},
+    [{"b": 1, "a": [2]}, {"b": 3, "a": [4, 5]}],  # a table
+    [{"a": 1, "b": 2}, {"b": 2, "a": 1}],  # one key set in two orders
+    [{"a": 1}, {"a": True}], [{"a": []}, {"a": [1]}], [{}, {}], [{1: 2}, {1: 3}],
+    [{"a": [[1], [2]]}, {"a": [[3]]}], [{'"é': 1}, {'"é': 2}],
+    [1.5, float("inf")], {"x": float("nan")}, "é\n\"", 0, None, (),
+]
+
+
+class TestJsonLayout:
+    """`--json` prints exactly `json.dumps(record, indent=2)`."""
+
+    @pytest.mark.parametrize("value", LAYOUT_CORNERS, ids=repr)
+    def test_corner_cases(self, value):
+        assert cli._render(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(json_values)
+    def test_render_is_json_dumps_indent_2(self, value):
+        assert cli._render(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("argv", [
+        ["basis", "{square}"],
+        ["basis", "--family", "2", "2"],
+        ["basis", "{triangle}", "--cap", "1"],  # truncated, exit 3
+        ["basis", "{empty}"],
+        ["symbolic", "{ideal}", "-n", "3"],
+        ["symbolic", "{ideal}", "-n", "2", "--wrt", "{ideal}"],
+        ["power", "{ideal}", "-n", "3"],
+        ["compare", "{ideal}", "-n", "2"],
+        ["check", "{triangle}", "bipartite"],
+        ["check", "{square}", "bipartite"],
+        ["check", "{triangle}", "standard"],
+        ["check", "{square}", "standard"],
+        ["check", "{weighted}", "gorenstein"],
+        ["check", "{empty}", "gorenstein"],
+        ["check", "{triangle}", "bound"],
+        ["decompose", "--family", "2", "2"],
+        ["decompose", "{triangle}", "--cover", "1,1,1;2"],
+        ["split", "{square}", "--cover", "2,2,2,2;2"],
+        ["skeleton", "4", "2"],
+        ["family", "2", "2"],
+        ["bound", "3"],
+    ], ids=" ".join)
+    def test_stdout_is_json_dumps_indent_2(
+        self, capsys, tmp_path, triangle_file, square_file, ideal_file, empty_file, argv
+    ):
+        weighted = tmp_path / "weighted.json"
+        weighted.write_text(json.dumps(
+            {"n": 5, "facets": [[1], [2, 3, 4], [4, 5]], "weights": [2, 1, 3]}
+        ), encoding="utf-8")
+        files = {"triangle": triangle_file, "square": square_file, "ideal": ideal_file,
+                 "empty": empty_file, "weighted": str(weighted)}
+        argv = [a.format(**files) for a in argv]
+        if argv[0] != "family":
+            argv.append("--json")
+        args = cli.build_parser().parse_args(argv)
+        record, _ = args.func(args)
+        code, out, _ = run(capsys, *argv)
+        assert code == (3 if record.get("truncated") else 0)
+        assert out == json.dumps(record, indent=2) + "\n"
 
 
 class TestInternalErrors:

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from coveralg.errors import DimensionMismatch, ZeroIdealColon
-from coveralg.monomial import MonomialIdeal, minimal_elements, monomial_str
+from coveralg.monomial import MonomialIdeal, guard_bits, minimal_elements, monomial_str
 
 
 def ideal(n, *gens):
@@ -68,6 +68,14 @@ class TestMinimalElements:
                 vectors.append((0,) * n)
             rng.shuffle(vectors)
             assert minimal_elements(vectors) == oracles.minimal_elements(vectors)
+
+
+class TestGuardBits:
+    def test_closed_form_matches_the_sum_of_field_tops(self):
+        for fields in range(33):
+            for width in range(1, 20):
+                tops = sum(1 << (i * width + width - 1) for i in range(fields))
+                assert guard_bits(fields, width) == tops, (fields, width)
 
 
 class TestContains:
@@ -159,6 +167,13 @@ class TestMultiplyPowerSum:
             assert type(got) is MonomialIdeal and got == want, op
         assert (2, 0) in i and (0, 2) not in i
         assert (0, 1) in j and (1, 0) not in j
+
+    @pytest.mark.parametrize("left", [2, True, [1], (1,)], ids=repr)
+    def test_left_multiplication_is_refused(self, left):
+        # a tuple's repetition would otherwise answer `2 * ideal`
+        name = type(left).__name__
+        with pytest.raises(TypeError, match=f"'{name}' and 'MonomialIdeal'"):
+            left * ideal(2, (1, 0))
 
 
 class TestColon:
