@@ -6,7 +6,7 @@ class DimensionMismatch(ValueError):
 
 
 class ZeroIdealColon(ValueError):
-    """Colon or saturation by the zero ideal is undefined."""
+    """Saturation by the zero ideal is undefined."""
 
 
 class NonSquarefreeIdeal(ValueError):

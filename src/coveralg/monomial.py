@@ -8,29 +8,24 @@ vector. Values are immutable and every operation returns a new ideal.
 
 Inside an operation each vector is one int (`Packing`): the total degree
 on top, then x1 down to xn in fields with a guard bit on top, so int
-order is (degree, lex) order, a product is one addition, and g divides v
-exactly when ((v | H) - g) & H == H for the guard bits H. The field
+order is (degree, lex) order, a product is one addition, and g lies below
+v exactly when ((v | H) - g) & H == H for the guard bits H. The field
 width is fixed up front from the largest value the operation can make,
-max(f) + max(g) for a product and k * max for a k-th power, so nothing
-widens or starts over; a sum that sets a guard bit is a bug and raises
-`InternalError`. The degree, the top field, needs no bound.
+k * max for a k-th power, so nothing widens or starts over; a sum that
+sets a guard bit is a bug and raises `InternalError`. The degree, the
+top field, needs no bound.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
-from operator import le, lshift
-from typing import Callable, Iterable, NamedTuple, NoReturn
+from operator import lshift
+from typing import Iterable, NamedTuple, NoReturn
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 
 ExpVec = tuple[int, ...]
-
-
-def divides(f: ExpVec, m: ExpVec) -> bool:
-    """True iff x^f divides x^m, i.e. f <= m componentwise."""
-    return all(map(le, f, m))
 
 
 def guard_bits(fields: int, width: int) -> int:
@@ -55,7 +50,8 @@ class Packing:
         return sum(map(lshift, v, self.shifts), sum(v) << self.degree_at)
 
     def unpack(self, x: int) -> ExpVec:
-        return tuple(map(self.mask.__and__, map(x.__rshift__, self.shifts)))
+        mask = self.mask
+        return tuple(x >> s & mask for s in self.shifts)
 
     def minimal(self, packed: Iterable[int]) -> list[int]:
         """The distinct packed vectors above no other one, in (degree, lex) order.
@@ -152,14 +148,6 @@ class MonomialIdeal(NamedTuple):
     def from_gens(cls, n: int, vectors: Iterable[Iterable[int]]) -> MonomialIdeal:
         return cls(n, minimal_elements(_checked(n, vectors)))
 
-    @classmethod
-    def zero(cls, n: int) -> MonomialIdeal:
-        return cls(n, ())
-
-    @classmethod
-    def unit(cls, n: int) -> MonomialIdeal:
-        return cls(n, ((0,) * n,))
-
     @property
     def is_zero(self) -> bool:
         return not self.gens
@@ -178,18 +166,6 @@ class MonomialIdeal(NamedTuple):
                 f"ideals live in {self.n} and {other.n} variables"
             )
 
-    def contains(self, m: Iterable[int]) -> bool:
-        """Membership of the monomial x^m."""
-        v = tuple(int(x) for x in m)
-        if len(v) != self.n:
-            raise DimensionMismatch(
-                f"monomial {v} has length {len(v)}, expected {self.n}"
-            )
-        return any(divides(g, v) for g in self.gens)
-
-    def __contains__(self, m: Iterable[int]) -> bool:
-        return self.contains(m)
-
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
         self._same_ring(other)
         joins = (
@@ -199,30 +175,15 @@ class MonomialIdeal(NamedTuple):
         )
         return MonomialIdeal(self.n, minimal_elements(joins))
 
-    __and__ = intersect
-
-    def multiply(self, other: MonomialIdeal) -> MonomialIdeal:
-        self._same_ring(other)
-        packing = Packing(self.n, _top(self.gens) + _top(other.gens))
-        product = packing.product(
-            list(map(packing.pack, self.gens)), list(map(packing.pack, other.gens))
-        )
-        return MonomialIdeal(self.n, tuple(map(packing.unpack, product)))
-
-    __mul__ = multiply
-
-    def __rmul__(self, other: object) -> NoReturn:
-        # without it, tuple repetition would answer `2 * ideal`
+    def _refuse(self, other: object) -> NoReturn:
+        # an ideal's operations are its methods; without this the tuple
+        # would concatenate (+), repeat (*) or search its two fields (in)
         raise TypeError(
-            f"unsupported operand type(s) for *: {type(other).__name__!r} "
+            f"unsupported operand type(s): {type(other).__name__!r} "
             f"and {type(self).__name__!r}"
         )
 
-    def sum(self, other: MonomialIdeal) -> MonomialIdeal:
-        self._same_ring(other)
-        return MonomialIdeal(self.n, minimal_elements(self.gens + other.gens))
-
-    __add__ = sum
+    __add__ = __mul__ = __rmul__ = __contains__ = _refuse
 
     def power(self, k: int) -> MonomialIdeal:
         """k-th ordinary power by square-and-multiply, k=0 gives the unit ideal."""
@@ -240,37 +201,23 @@ class MonomialIdeal(NamedTuple):
                 base = packing.product(base, base)
         return MonomialIdeal(self.n, tuple(map(packing.unpack, result)))
 
-    def __pow__(self, k: int) -> MonomialIdeal:
-        return self.power(k)
-
-    def _meet(
-        self, other: MonomialIdeal, what: str, step: Callable[[ExpVec, ExpVec], ExpVec]
-    ) -> MonomialIdeal:
-        """Intersect, over other's generators g, the ideals of the step(f, g)."""
-        self._same_ring(other)
-        if other.is_zero:
-            raise ZeroIdealColon(f"{what} by the zero ideal is undefined")
-        return reduce(MonomialIdeal.intersect, (
-            MonomialIdeal(self.n, minimal_elements(step(f, g) for f in self.gens))
-            for g in other.gens
-        ))
-
-    def colon(self, other: MonomialIdeal) -> MonomialIdeal:
-        """Ideal quotient (self : other), the intersection of the (self : g)."""
-        return self._meet(
-            other, "colon", lambda f, g: tuple(max(a - b, 0) for a, b in zip(f, g))
-        )
-
     def saturate(self, other: MonomialIdeal) -> MonomialIdeal:
         """(self : other^infinity) in closed form.
 
-        (self : g^infinity) is self with the variables of supp(g) set to 1,
-        and the saturation by other is the intersection of these over
-        other's generators g.
+        (self : g^infinity) is self with the variables of supp(g) set to 1:
+        the minimal elements of the generators with those coordinates
+        zeroed. The saturation by other is the intersection of these
+        ideals over other's generators g, met one `intersect` at a time.
         """
-        return self._meet(
-            other, "saturation", lambda f, g: tuple(0 if b else a for a, b in zip(f, g))
-        )
+        self._same_ring(other)
+        if other.is_zero:
+            raise ZeroIdealColon("saturation by the zero ideal is undefined")
+        return reduce(MonomialIdeal.intersect, (
+            MonomialIdeal(self.n, minimal_elements(
+                tuple(0 if b else a for a, b in zip(f, g)) for f in self.gens
+            ))
+            for g in other.gens
+        ))
 
     def symbolic_power(self, k: int, wrt: MonomialIdeal) -> MonomialIdeal:
         """k-th power saturated by wrt."""
@@ -287,11 +234,6 @@ class MonomialIdeal(NamedTuple):
         if n < 1:
             raise ValueError(f"variable count must be >= 1, got {n}")
         return cls.from_gens(n, file_field(data, "gens", 2, ValueError, []))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "(0)"
-        return "(" + ", ".join(monomial_str(g) for g in self.gens) + ")"
 
 
 def monomial_str(v: ExpVec, t_degree: int | None = None) -> str:

@@ -9,14 +9,17 @@ here too: the skeletons of a simplex, Veronese weight scaling, cone
 membership row by row, the Bareiss determinant and the 0/1 determinant
 bound of the primal engine, the odd-cycle domination filter of the graph
 tests, the search for a Veronese degree d by comparing powers of ideals,
-and the yes/no forms of the standard-graded and Gorenstein verdicts.
+the yes/no forms of the standard-graded and Gorenstein verdicts, and the
+ideal calculus the package does not need: the zero and unit ideals,
+products, sums and colons of monomial ideals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, product as cartesian
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
@@ -65,9 +68,52 @@ def member_colon(gens_i, gens_j, m) -> bool:
     )
 
 
+# --- the ideal calculus the package does not need --------------------------
+#
+# Built on `from_gens`, `intersect` and plain tuples; the tests check each
+# one against the membership oracles above over a box.
+
+
+def zero(n: int) -> MonomialIdeal:
+    return MonomialIdeal(n, ())
+
+
+def unit(n: int) -> MonomialIdeal:
+    return MonomialIdeal(n, ((0,) * n,))
+
+
+def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    """I * J, generated by the sums f + g of a generator of each."""
+    i._same_ring(j)
+    return MonomialIdeal.from_gens(
+        i.n, (tuple(a + b for a, b in zip(f, g)) for f in i.gens for g in j.gens)
+    )
+
+
+def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    """I + J, generated by the generators of both."""
+    i._same_ring(j)
+    return MonomialIdeal.from_gens(i.n, i.gens + j.gens)
+
+
+def colon(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    """(I : J), the intersection over J's generators g of (I : g).
+
+    (I : g) is generated by the f - g floored at 0 for I's generators f;
+    (I : 0) is the unit ideal, the empty intersection.
+    """
+    i._same_ring(j)
+    return reduce(MonomialIdeal.intersect, (
+        MonomialIdeal.from_gens(
+            i.n, (tuple(max(a - b, 0) for a, b in zip(f, g)) for f in i.gens)
+        )
+        for g in j.gens
+    ), unit(i.n))
+
+
 def box(bounds):
     """All exponent vectors v with 0 <= v[i] <= bounds[i]."""
-    return product(*(range(b + 1) for b in bounds))
+    return cartesian(*(range(b + 1) for b in bounds))
 
 
 def coordinate_max(*gen_lists):
@@ -286,7 +332,7 @@ def find_veronese_d(
         ideals[0]._same_ring(ideal)
 
     def meet_of_powers(e: int) -> MonomialIdeal:
-        result = MonomialIdeal.unit(n)
+        result = unit(n)
         for ideal in ideals:
             result = result.intersect(ideal.power(e))
         return result
@@ -322,7 +368,7 @@ def cover_ideal(complex_: WeightedComplex, scale: int = 1) -> MonomialIdeal:
     With scale=1 this is the cover ideal: its minimal generators are
     exactly the componentwise-minimal covers of order 1.
     """
-    result = MonomialIdeal.unit(complex_.n)
+    result = unit(complex_.n)
     for f, w in zip(complex_.facets, complex_.weights):
         result = result.intersect(prime_power_ideal(complex_.n, f, scale * w))
     return result
@@ -345,7 +391,7 @@ def symbolic_power_by_intersection(ideal: MonomialIdeal, k: int) -> MonomialIdea
     if ideal.is_zero or ideal.is_unit:
         return ideal
     supports = [[i for i, e in enumerate(g) if e] for g in ideal.gens]
-    result = MonomialIdeal.unit(ideal.n)
+    result = unit(ideal.n)
     for c in minimal_hitting_sets(ideal.n, supports):
         result = result.intersect(prime_power_ideal(ideal.n, c, k))
     return result
@@ -417,7 +463,7 @@ def parallelepiped_boxscan(rays):
     d = len(rays)
     bounds = [sum(max(q[i], 0) for q in rays) for i in range(d)]
     points = set()
-    for p in product(*(range(b + 1) for b in bounds)):
+    for p in box(bounds):
         coeffs = _solve_square([list(col) for col in zip(*rays)], p)
         if coeffs is not None and all(0 <= c < 1 for c in coeffs):
             points.add(p)
@@ -772,7 +818,7 @@ def parallelepiped_points(subcone: SimplicialSubcone) -> tuple[LatticePoint, ...
         adj = [[-x for x in row] for row in adj]
     h = hnf_columns(qmat)
     points = set()
-    for z in product(*(range(h[i][i]) for i in range(d))):
+    for z in cartesian(*(range(h[i][i]) for i in range(d))):
         t = [sum(adj[j][r] * z[r] for r in range(d)) % dval for j in range(d)]
         p = tuple(
             sum(qmat[r][j] * t[j] for j in range(d)) // dval for r in range(d)

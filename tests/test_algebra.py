@@ -370,8 +370,8 @@ class TestSymbolicPowerByCoverAlgebra:
             (face_ideal(7, cycle(7)), 4),
             (face_ideal(6, combinations(range(6), 2)), 4),
             (face_ideal(7, combinations(range(7), 3)), 3),
-            (MonomialIdeal.zero(3), 3),
-            (MonomialIdeal.unit(3), 3),
+            (oracles.zero(3), 3),
+            (oracles.unit(3), 3),
             (face_ideal(3, [(0,), (1,)]), 3),
             (face_ideal(3, [(0,)]), 3),
         ]

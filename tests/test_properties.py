@@ -45,7 +45,7 @@ def ideal_pairs(draw, max_size=6):
     """Two ideals in one ring of 1 to 6 variables, the zero and unit ideals
     among them."""
     n = draw(st.integers(1, 6))
-    zero, unit = MonomialIdeal.zero(n), MonomialIdeal.unit(n)
+    zero, unit = oracles.zero(n), oracles.unit(n)
 
     def ideal():
         gens = vectors(draw, n, max_size)
@@ -163,8 +163,15 @@ def test_from_gens_keeps_the_minimal_vectors(vectors):
 @small
 @given(ideal_pairs())
 def test_multiply_matches_definition(pair):
+    # the packed product that `power` multiplies with, one field wide
+    # enough for the sums of the two tops
     left, right = pair
-    assert (left * right).gens == products(left.gens, right.gens)
+    top = max((e for g in left.gens + right.gens for e in g), default=0)
+    packing = Packing(left.n, 2 * top)
+    got = packing.product(
+        list(map(packing.pack, left.gens)), list(map(packing.pack, right.gens))
+    )
+    assert tuple(map(packing.unpack, got)) == products(left.gens, right.gens)
 
 
 @settings(small, max_examples=80)
