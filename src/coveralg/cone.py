@@ -21,6 +21,15 @@ field, makes the cut start over with every field twice as wide; no value
 is ever clipped, and the points are unpacked only at the end. Int order
 orders the sums, as it extends the order "lies below" (see `_cut`).
 
+A cut reads each element's value lam on its row by digit sums, one list
+pass per distinct coefficient (`_row_values`): masking out the fields of
+that coefficient and folding odd fields onto even ones leaves one field
+sum per double-width chunk, and the remainder modulo 2^(2*width) - 1 adds
+the chunks. That is exact while the row has fewer than 2^(width+1)
+coordinates; a longer row widens the fields too. The basis then splits
+into a lam >= 0 side and a lam <= 0 side, and each pair sum is checked on
+the one side its sign of lam names, or on both when lam = 0.
+
 All arithmetic is on Python ints; no floating point enters any verdict.
 """
 
@@ -51,6 +60,13 @@ def build_cone(complex_: WeightedComplex) -> ConeSystem:
     """Inequality system whose lattice points are the covers of all orders.
 
     One row per facet: +1 on the facet's coordinates, -weight on the last.
+    The rows follow the facets in the order `WeightedComplex.validate`,
+    which makes every complex, gives them: smallest facet first, then by
+    vertex tuple. `_cut` is correct in any row order, but its work is
+    not: on random complexes this order beat "largest facet first" and
+    "most vertices shared with the rows already cut" by up to 23x, and on
+    the Veronese-weighted skeletons lex order of the vertex tuples beat
+    colex and reverse lex.
     """
     n = complex_.n
     rows = []
@@ -61,10 +77,6 @@ def build_cone(complex_: WeightedComplex) -> ConeSystem:
     return ConeSystem(n + 1, tuple(rows))
 
 
-def _point_key(p: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    return (p[-1], tuple(p[:-1]))
-
-
 # Bits per field when a completion starts, its guard bit included; a cut
 # that overflows a field doubles the width of every field and starts over.
 _START_WIDTH = 8
@@ -72,11 +84,46 @@ _START_WIDTH = 8
 
 def _unpack(x: int, fields: int, width: int) -> list[int]:
     mask = (1 << width) - 1
-    return [(x >> (i * width)) & mask for i in range(fields)]
+    return [x >> at & mask for at in range(0, fields * width, width)]
 
 
 def _pack(values: Sequence[int], width: int) -> int:
     return sum(v << (i * width) for i, v in enumerate(values))
+
+
+def _row_values(
+    basis: list[int], row: Sequence[int], width: int
+) -> list[int] | None:
+    """lam = row . x of each packed x of basis, by digit sums.
+
+    The coordinates that share a coefficient c form one group, with a
+    mask `even` of its even fields and a mask `odd` of its odd fields
+    shifted down one width. s = (x & even) + ((x >> width) & odd) holds
+    the sum of fields 2j and 2j + 1 in the 2*width-bit chunk j, with no
+    carry between chunks. As 2^(2*width) is 1 modulo M = 2^(2*width) - 1,
+    s % M is the sum of the chunks: the group's exact sum while that stays
+    below M. With every guard bit zero a field holds less than
+    2^(width-1), so this holds for every row of fewer than 2^(width+1)
+    coordinates. A longer row is an overflow, and None asks the caller to
+    widen the fields. lam is the sum over the groups of c times the
+    group's sum, one list pass per group.
+    """
+    if len(row) >> (width + 1):
+        return None
+    mask = (1 << width) - 1
+    groups: dict[int, list[int]] = {}  # coefficient: [even, odd]
+    for i, c in enumerate(row):
+        if c:
+            parity = i & 1
+            groups.setdefault(c, [0, 0])[parity] |= mask << (i - parity) * width
+    modulus = (1 << 2 * width) - 1
+    values = [0] * len(basis)
+    for c, (even, odd) in groups.items():
+        values = [
+            lam + c * (((x & even) + (x >> width & odd)) % modulus)
+            for lam, x in zip(values, basis)
+        ]
+    return values
 
 
 def _cut(
@@ -91,17 +138,19 @@ def _cut(
     Each element is a packed slack vector of `fields` fields, `width` bits
     each: the point's coordinates followed by its values on the rows cut
     before, so y - x lies in C exactly when x's slack is componentwise
-    below y's. The basis splits by the sign of lam = row . x, the two
-    sides sharing lam = 0; a side element also holds |lam| in one more
-    field. Sums p + q with lam(p) > 0 > lam(q) are formed from pairs with
-    at least one element new since the last round; a sum joins each side
-    its lam allows unless an element of that side lies below it in slack
-    and |lam|. The sides only grow, and the completion stops when a round
-    adds nothing. The basis of the cut is then the minimal part of the
-    lam >= 0 side, its |lam| field becoming the new row's slack. No sum of
-    t-degree above the cap is formed (the flag returned says if one was
-    skipped); t only adds under sums and nothing with a larger t reduces
-    an element, so the cut's points up to the cap are exact.
+    below y's. The basis splits by the sign of lam = row . x, computed by
+    digit sums (`_row_values`), into the sides `pos` (lam >= 0) and `neg`
+    (lam <= 0), which share lam = 0; a side element also holds |lam| in
+    one more field. Sums p + q with lam(p) > 0 > lam(q) are formed from
+    pairs with at least one element new since the last round; a sum joins
+    the one side its sign of lam allows, or both when lam = 0, unless an
+    element of that side lies below it in slack and |lam|. The sides only
+    grow, and the completion stops when a round adds nothing. The basis of
+    the cut is then the minimal part of `pos`, its |lam| field becoming
+    the new row's slack. No sum of t-degree above the cap is formed (the
+    flag returned says if one was skipped); t only adds under sums and
+    nothing with a larger t reduces an element, so the cut's points up to
+    the cap are exact.
 
     With every guard bit zero, y lies below x in every field exactly when
     ((x | H) - y) & H == H for the mask H of the guard bits: field by field
@@ -109,42 +158,48 @@ def _cut(
     and never borrows across a field. A pair sum is the int sum, exact as
     long as no field carries into its guard bit; its lam lies strictly
     between its summands', so only a start value can overflow the |lam|
-    field. A sum that sets a guard bit, or a start |lam| above the field's
-    maximum, is an overflow, and the cut returns None; the caller widens
-    the fields and cuts again, so no value is ever clipped. Int order
-    extends "lies below": with the guard bits zero, y below x field by
-    field makes y <= x as ints, and |lam| depends on the point fields
-    alone. So the sums are met in int order, and as the next cut is
-    correct in any order of C's basis, the result is left unsorted.
+    field. A sum that sets a guard bit, a start |lam| above the field's
+    maximum, or a row too long for exact digit sums is an overflow, and
+    the cut returns None; the caller widens the fields and cuts again, so
+    no value is ever clipped. Int order extends "lies below": with the
+    guard bits zero, y below x field by field makes y <= x as ints, and
+    |lam| depends on the point fields alone. So the sums are met in int
+    order, and as the next cut is correct in any order of C's basis, the
+    result is left unsorted.
     """
+    values = _row_values(basis, row, width)
+    if values is None:
+        return None
     mask = (1 << width) - 1
     top = mask >> 1  # largest value a field holds
     shift = fields * width  # where the |lam| field starts
     guards = guard_bits(fields + 1, width)
     t_at = (len(row) - 1) * width
-    terms = [(i * width, c) for i, c in enumerate(row) if c]
-    sides: dict[int, list[int]] = {1: [], -1: []}  # packed slack and |lam|
-    # (packed slack, lam, t) of the elements with lam != 0
-    fresh: dict[int, list[tuple[int, int, int]]] = {1: [], -1: []}
-    paired: dict[int, list[tuple[int, int, int]]] = {1: [], -1: []}
-    for x in basis:
-        lam = sum(c * ((x >> at) & mask) for at, c in terms)
+    pos: list[int] = []  # packed slack and |lam| of the lam >= 0 side
+    neg: list[int] = []  # ... and of the lam <= 0 side
+    # (packed slack, lam, t) of the elements with lam > 0 and lam < 0
+    pos_fresh: list[tuple[int, int, int]] = []
+    neg_fresh: list[tuple[int, int, int]] = []
+    pos_paired: list[tuple[int, int, int]] = []
+    neg_paired: list[tuple[int, int, int]] = []
+    for x, lam in zip(basis, values):
+        if not lam:
+            pos.append(x)
+            neg.append(x)
+            continue
         if abs(lam) > top:
             return None
-        if lam >= 0:
-            sides[1].append(x | lam << shift)
-        if lam <= 0:
-            sides[-1].append(x | -lam << shift)
-        if lam:
-            fresh[1 if lam > 0 else -1].append((x, lam, (x >> t_at) & mask))
+        side, fresh = (pos, pos_fresh) if lam > 0 else (neg, neg_fresh)
+        side.append(x | abs(lam) << shift)
+        fresh.append((x, lam, x >> t_at & mask))
 
     skipped = False
-    ends = [len(sides[1])]  # where each round's sums start on sides[1]
-    while fresh[1] or fresh[-1]:
+    ends = [len(pos)]  # where each round's sums start on pos
+    while pos_fresh or neg_fresh:
         sums: dict[int, int] = {}  # packed slack: lam
         for plus, minus in (
-            (fresh[1], paired[-1] + fresh[-1]),
-            (paired[1], fresh[-1]),
+            (pos_fresh, neg_paired + neg_fresh),
+            (pos_paired, neg_fresh),
         ):
             for x, lam, t in plus:
                 # t-degree left for the summand; no stored t exceeds top
@@ -154,37 +209,46 @@ def _cut(
                         skipped = True
                     else:
                         sums.setdefault(x + y, lam + mu)
-        for sign in (1, -1):
-            paired[sign] += fresh[sign]
-            fresh[sign] = []
+        pos_paired += pos_fresh
+        neg_paired += neg_fresh
+        pos_fresh = []
+        neg_fresh = []
         # smallest first: nothing met later lies below a sum that joined
-        for z, lam in sorted(sums.items()):
+        for z in sorted(sums):
             if z & guards:
                 return None
-            for sign in (1, -1):
-                if sign * lam < 0:
-                    continue
-                full = z | sign * lam << shift
-                high = full | guards
-                for y in sides[sign]:
-                    if (high - y) & guards == guards:
-                        break
-                else:
-                    sides[sign].append(full)
-                    if lam:
-                        fresh[sign].append((z, lam, (z >> t_at) & mask))
-        ends.append(len(sides[1]))
+            lam = sums[z]
+            if not lam:
+                high = z | guards
+                for side in (pos, neg):
+                    for y in side:
+                        if (high - y) & guards == guards:
+                            break
+                    else:
+                        side.append(z)
+                continue
+            if lam > 0:
+                side, fresh, full = pos, pos_fresh, z | lam << shift
+            else:
+                side, fresh, full = neg, neg_fresh, z | -lam << shift
+            high = full | guards
+            for y in side:
+                if (high - y) & guards == guards:
+                    break
+            else:
+                side.append(full)
+                fresh.append((z, lam, z >> t_at & mask))
+        ends.append(len(pos))
 
-    # The minimal part of sides[1]. The elements of C's basis come first;
-    # they are irreducible in C, so no other element of C lies below them.
-    # A sum lay above nothing on its side when it joined, and what joined
+    # The minimal part of pos. The elements of C's basis come first; they
+    # are irreducible in C, so no other element of C lies below them. A
+    # sum lay above nothing on its side when it joined, and what joined
     # later in its round came later in int order: only a sum of a later
     # round can lie below it.
-    side = sides[1]
-    kept = side[: ends[0]]
+    kept = pos[: ends[0]]
     for start, end in zip(ends, ends[1:]):
-        later = side[end:]
-        for x in side[start:end]:
+        later = pos[end:]
+        for x in pos[start:end]:
             high = x | guards
             for y in later:
                 if (high - y) & guards == guards:
@@ -221,7 +285,10 @@ def hilbert_basis(
         basis, skipped = cut
         truncated |= skipped
         fields += 1
-    points = [tuple(_unpack(x, d, width)) for x in basis]
-    points = [p for p in points if degree_cap is None or p[-1] <= degree_cap]
-    points.sort(key=_point_key)
-    return HilbertBasis(d, tuple(points), truncated or len(points) < len(basis))
+    points = [_unpack(x, d, width) for x in basis]
+    if degree_cap is not None:
+        points = [p for p in points if p[-1] <= degree_cap]
+    points.sort(key=lambda p: (p[-1], p))
+    return HilbertBasis(
+        d, tuple(map(tuple, points)), truncated or len(points) < len(basis)
+    )

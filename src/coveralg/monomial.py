@@ -167,13 +167,37 @@ class MonomialIdeal(NamedTuple):
             )
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
+        """The monomials in both ideals, generated by the joins max(f, g).
+
+        A generator f of one ideal that lies in the other is its own join
+        with a generator below it, and every other join of f lies above f.
+        So f passes into the result as it is, and only the generators that
+        lie outside the other ideal are joined.
+        """
         self._same_ring(other)
-        joins = (
-            tuple(max(a, b) for a, b in zip(f, g))
-            for f in self.gens
-            for g in other.gens
-        )
-        return MonomialIdeal(self.n, minimal_elements(joins))
+        packing = Packing(self.n, _top(self.gens + other.gens))
+        guards = packing.guards
+        mine = list(map(packing.pack, self.gens))
+        theirs = list(map(packing.pack, other.gens))
+        passed: list[int] = []
+        outside: list[list[ExpVec]] = []
+        for gens, packed, others in (
+            (self.gens, mine, theirs),
+            (other.gens, theirs, mine),
+        ):
+            rest = []
+            for f, x in zip(gens, packed):
+                high = x | guards
+                for g in others:
+                    if (high - g) & guards == guards:
+                        passed.append(x)
+                        break
+                else:
+                    rest.append(f)
+            outside.append(rest)
+        joins = (tuple(map(max, f, g)) for f in outside[0] for g in outside[1])
+        kept = packing.minimal(chain(passed, map(packing.pack, joins)))
+        return MonomialIdeal(self.n, tuple(map(packing.unpack, kept)))
 
     def _refuse(self, other: object) -> NoReturn:
         # an ideal's operations are its methods; without this the tuple

@@ -90,6 +90,13 @@ def product(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     )
 
 
+def intersect_by_joins(i: MonomialIdeal, j: MonomialIdeal) -> tuple:
+    """The generators of I ∩ J: the minimal joins max(f, g) of all pairs."""
+    return minimal_elements(
+        tuple(map(max, f, g)) for f in i.gens for g in j.gens
+    )
+
+
 def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """I + J, generated by the generators of both."""
     i._same_ring(j)

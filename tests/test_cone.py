@@ -8,7 +8,15 @@ import pytest
 
 import oracles
 from coveralg.complexes import WeightedComplex, is_cover
-from coveralg.cone import ConeSystem, HilbertBasis, build_cone, hilbert_basis
+from coveralg.cone import (
+    ConeSystem,
+    HilbertBasis,
+    _cut,
+    _pack,
+    _row_values,
+    build_cone,
+    hilbert_basis,
+)
 from coveralg.errors import DimensionMismatch
 from coveralg.graphs import family_instance
 from oracles import (
@@ -82,6 +90,27 @@ class TestBuildCone:
         system = build_cone(single_edge())
         assert system.dim == 3
         assert system.rows == ((1, 1, -1),)
+
+    def test_rows_come_smallest_facet_first_in_any_facet_order(self):
+        # the rows follow validate's facet order, (facet size, vertex
+        # tuple), whatever order the facets were listed in
+        rng = random.Random(139)
+        instances = [family_instance(2, 2).complex, veronese(skeleton(5, 2), 3)]
+        instances += [random_weighted_complex(rng) for _ in range(20)]
+        for c in instances:
+            listed = list(zip(c.facets, c.weights))
+            rng.shuffle(listed)
+            shuffled = WeightedComplex.validate(
+                c.n, [sorted(f)[::-1] for f, _ in listed], [w for _, w in listed]
+            )
+            system = build_cone(shuffled)
+            assert system == build_cone(c)
+            supports = [
+                tuple(i for i, x in enumerate(row[:-1]) if x)
+                for row in system.rows
+            ]
+            assert supports == sorted(supports, key=lambda f: (len(f), f))
+            assert hilbert_basis(system) == hilbert_basis(build_cone(c))
 
     def test_triangle_row_count(self):
         system = build_cone(triangle())
@@ -533,6 +562,53 @@ class TestHilbertBasis:
             (200, 0, 1, 1),
             (200, 1, 0, 1),
         )
+
+    def test_row_values_are_the_dot_products(self):
+        # digit sums over packed fields equal row . x, for rows with
+        # repeated, negative and zero coefficients, at every field width,
+        # with field values up to the largest a field holds
+        rng = random.Random(151)
+        for width in (8, 16, 32):
+            top = (1 << width - 1) - 1
+            for _ in range(60):
+                d = rng.randint(1, 12)
+                fields = d + rng.randint(0, 3)  # slack fields past the row
+                coefficient = rng.choice([
+                    lambda: rng.choice([0, 1, -1]),
+                    lambda: rng.randint(-3, 3),
+                    lambda: rng.randint(-(10**6), 10**6),
+                ])
+                row = tuple(coefficient() for _ in range(d))
+                points = [
+                    [rng.choice([0, top, rng.randint(0, top)]) for _ in range(fields)]
+                    for _ in range(rng.randint(0, 8))
+                ]
+                basis = [_pack(p, width) for p in points]
+                assert _row_values(basis, row, width) == [dot(row, p) for p in points]
+
+    def test_rows_past_the_exact_digit_sum_length_widen(self):
+        # a group sum is exact below 2^(2w) - 1, which every row of fewer
+        # than 2^(w+1) coordinates keeps; a longer row is never read at w
+        top = 127
+        for d in (511, 512, 516, 517, 600):
+            row = (1,) * d
+            for width in (8, 16):
+                basis = [_pack([top] * d, width), _pack([1] * d, width)]
+                exact = width > 8 or d < 512
+                want = [d * top, d] if exact else None
+                assert _row_values(basis, row, width) == want, (d, width)
+        # x_1 + x_2 + x_3 >= 2 t in d coordinates: the basis of that cone
+        # in 4, with zeros between, and the units of the other coordinates
+        small = primal_hilbert_basis(ConeSystem(4, ((1, 1, 1, -2),)))
+        for d, widened in ((511, False), (512, True)):
+            row = (1, 1, 1) + (0,) * (d - 4) + (-2,)
+            units = [1 << i * 8 for i in range(d)]
+            assert (_cut(units, row, None, d, 8) is None) == widened
+            want = [p[:3] + (0,) * (d - 4) + p[3:] for p in small]
+            want += [tuple(int(i == j) for j in range(d)) for i in range(3, d - 1)]
+            want.sort(key=lambda p: (p[-1], p))
+            got = hilbert_basis(ConeSystem(d, (row,)))
+            assert got == HilbertBasis(d, tuple(want), False)
 
     def test_plane_cones_with_large_coefficients_match_primal_oracle(self):
         # packed dominance must be the componentwise order of the slack

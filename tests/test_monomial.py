@@ -105,6 +105,16 @@ class TestIntersect:
         i = ideal(3, (2, 1, 0), (0, 0, 3))
         assert i.intersect(oracles.unit(3)) == i
 
+    def test_generators_inside_the_other_ideal_pass_through(self):
+        # (x^2, xy, y^3) lies in (x, y), so every generator passes unjoined
+        i = ideal(2, (2, 0), (1, 1), (0, 3))
+        m = ideal(2, (1, 0), (0, 1))
+        assert i.intersect(m) == m.intersect(i) == i
+        # (x^2, y) and (x, y^2): y^2 and x^2 pass, the join x*y of y and x
+        # is the one generator formed
+        left, right = ideal(2, (2, 0), (0, 1)), ideal(2, (1, 0), (0, 2))
+        assert left.intersect(right) == ideal(2, (2, 0), (1, 1), (0, 2))
+
     def test_idempotent(self):
         i = ideal(2, (1, 0), (0, 2))
         assert i.intersect(i) == i

@@ -174,6 +174,18 @@ def test_multiply_matches_definition(pair):
     assert tuple(map(packing.unpack, got)) == products(left.gens, right.gens)
 
 
+@small
+@given(ideal_pairs(), st.data())
+def test_intersect_matches_all_pairwise_joins(pair, data):
+    # generators that lie in the other ideal pass through without joins;
+    # sharing some of the left's generators with the right makes them common
+    left, right = pair
+    shared = data.draw(st.lists(st.sampled_from(left.gens), max_size=3)) if left.gens else []
+    right = MonomialIdeal.from_gens(right.n, right.gens + tuple(shared))
+    for a, b in ((left, right), (right, left)):
+        assert a.intersect(b).gens == oracles.intersect_by_joins(a, b)
+
+
 @settings(small, max_examples=80)
 @given(ideal_pairs(max_size=4), st.integers(0, 5))
 def test_power_matches_repeated_products(pair, k):
