@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache
 from itertools import chain, repeat
@@ -61,15 +62,14 @@ def _load_ideal(path: str) -> MonomialIdeal:
 
 
 def _parse_cover(text: str, n: int) -> tuple[tuple[int, ...], int]:
-    try:
-        coords, order = text.split(";")
-        a = tuple(int(x) for x in coords.split(",")) if coords else ()
-        k = int(order)
-    except ValueError as exc:
-        raise ValueError(f"cover must look like '1,1,0;2', got {text!r}") from exc
+    # ASCII digits with an optional minus per field; int() reads "1_0" as 10
+    if not re.fullmatch(r"((-?[0-9]+,)*-?[0-9]+)?;-?[0-9]+", text):
+        raise ValueError(f"cover must look like '1,1,0;2', got {text!r}")
+    coords, order = text.split(";")
+    a = tuple(int(x) for x in coords.split(",")) if coords else ()
     if len(a) != n:
         raise DimensionMismatch(f"cover has {len(a)} coordinates for {n} vertices")
-    return a, k
+    return a, int(order)
 
 
 def _resolve_complex(args: argparse.Namespace) -> WeightedComplex:

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
-from .monomial import ExpVec, MonomialIdeal, Packing, file_field
+from .monomial import ExpVec, MonomialIdeal, Packing, checked_ints, file_field
 
 
 class CoverPoint(NamedTuple):
@@ -45,7 +45,7 @@ class WeightedComplex(NamedTuple):
         """
         if n < 0:
             raise InvalidComplex(f"vertex count must be >= 0, got {n}")
-        raw = [[int(v) for v in f] for f in facets]
+        raw = [checked_ints(f, "vertex") for f in facets]
         fs = [frozenset(f) for f in raw]
         for f, vertices in zip(raw, fs):
             if not f:
@@ -59,7 +59,7 @@ class WeightedComplex(NamedTuple):
                 raise InvalidComplex(
                     f"facet {[v + 1 for v in f]} lists a vertex twice"
                 )
-        ws = [1] * len(fs) if weights is None else [int(w) for w in weights]
+        ws = [1] * len(fs) if weights is None else checked_ints(weights, "facet weight")
         if len(ws) != len(fs):
             raise InvalidComplex(
                 f"{len(fs)} facets but {len(ws)} weights"
@@ -109,7 +109,7 @@ def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:
 
     A negative coordinate is never a cover; order 0 holds for every a >= 0.
     """
-    av = tuple(int(x) for x in a)
+    av = checked_ints(a, "cover coordinate")
     if len(av) != complex_.n:
         raise DimensionMismatch(
             f"vector of length {len(av)} for complex on {complex_.n} vertices"

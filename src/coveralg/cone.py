@@ -27,8 +27,10 @@ that coefficient and folding odd fields onto even ones leaves one field
 sum per double-width chunk, and the remainder modulo 2^(2*width) - 1 adds
 the chunks. That is exact while the row has fewer than 2^(width+1)
 coordinates; a longer row widens the fields too. The basis then splits
-into a lam >= 0 side and a lam <= 0 side, and each pair sum is checked on
-the one side its sign of lam names, or on both when lam = 0.
+into a lam >= 0 side and a lam <= 0 side that share the lam = 0 elements,
+and each pair sum is checked on one side: the one its sign of lam names,
+and the lam >= 0 side when lam = 0, as only the shared elements can lie
+below such a sum.
 
 All arithmetic is on Python ints; no floating point enters any verdict.
 """
@@ -143,11 +145,14 @@ def _cut(
     (lam <= 0), which share lam = 0; a side element also holds |lam| in
     one more field. Sums p + q with lam(p) > 0 > lam(q) are formed from
     pairs with at least one element new since the last round; a sum joins
-    the one side its sign of lam allows, or both when lam = 0, unless an
-    element of that side lies below it in slack and |lam|. The sides only
-    grow, and the completion stops when a round adds nothing. The basis of
-    the cut is then the minimal part of `pos`, its |lam| field becoming
-    the new row's slack. No sum of t-degree above the cap is formed (the
+    the side its sign of lam names, `pos` when lam = 0, unless an element
+    of that side lies below it in slack and |lam|, and a lam = 0 sum that
+    joins `pos` joins `neg` too. `pos` alone settles it: only an element
+    whose |lam| field is 0 can lie below it, and every such element is on
+    both sides, from the split and from each round. The sides only grow,
+    and the completion stops when a round adds nothing. The basis of the
+    cut is then the minimal part of `pos`, its |lam| field becoming the
+    new row's slack. No sum of t-degree above the cap is formed (the
     flag returned says if one was skipped); t only adds under sums and
     nothing with a larger t reduces an element, so the cut's points up to
     the cap are exact.
@@ -218,26 +223,18 @@ def _cut(
             if z & guards:
                 return None
             lam = sums[z]
-            if not lam:
-                high = z | guards
-                for side in (pos, neg):
-                    for y in side:
-                        if (high - y) & guards == guards:
-                            break
-                    else:
-                        side.append(z)
-                continue
-            if lam > 0:
-                side, fresh, full = pos, pos_fresh, z | lam << shift
-            else:
-                side, fresh, full = neg, neg_fresh, z | -lam << shift
+            side, fresh = (neg, neg_fresh) if lam < 0 else (pos, pos_fresh)
+            full = z | abs(lam) << shift
             high = full | guards
             for y in side:
                 if (high - y) & guards == guards:
                     break
             else:
                 side.append(full)
-                fresh.append((z, lam, z >> t_at & mask))
+                if lam:
+                    fresh.append((z, lam, z >> t_at & mask))
+                else:
+                    neg.append(z)
         ends.append(len(pos))
 
     # The minimal part of pos. The elements of C's basis come first; they

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 from .algebra import generators
 from .complexes import CoverPoint, WeightedComplex, is_cover
 from .errors import InternalError, NotAGraph
-from .monomial import ExpVec
+from .monomial import ExpVec, checked_ints
 
 
 def neighbors(complex_: WeightedComplex) -> list[set[int]]:
@@ -110,7 +110,7 @@ def split(
     checked to be a cover of its order before it is returned.
     """
     bip = bipartition(complex_)
-    av = tuple(int(x) for x in a)
+    av = checked_ints(a, "cover coordinate")
     if not is_cover(complex_, av, k):
         raise ValueError(f"{av} is not a cover of order {k}")
     if bip.is_bipartite:
@@ -164,7 +164,7 @@ def decompose(
     """
     if k < 2:
         raise ValueError(f"decomposition needs order k >= 2, got {k}")
-    av = tuple(int(x) for x in a)
+    av = checked_ints(a, "cover coordinate")
     if not is_cover(complex_, av, k):
         raise ValueError(f"{av} is not a cover of order {k}")
     witnesses = [

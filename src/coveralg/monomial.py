@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import chain
 from operator import lshift
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 
@@ -106,6 +106,15 @@ def _ints(value: object, depth: int) -> bool:
     return isinstance(value, list) and all(_ints(v, depth - 1) for v in value)
 
 
+def checked_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
+    """values as a tuple; a bool, float or str raises, as in `file_field`."""
+    v = tuple(values)
+    for x in v:
+        if not _ints(x, 0):
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+    return v
+
+
 def file_field(data: object, key: str, depth: int, error: type, default=...):
     """data[key] of a file's JSON object, checked to be ints nested depth deep.
 
@@ -126,18 +135,16 @@ def file_field(data: object, key: str, depth: int, error: type, default=...):
     return value
 
 
-def _checked(n: int, vectors: Iterable[Iterable[int]]) -> list[ExpVec]:
-    vecs = []
+def _checked(n: int, vectors: Iterable[Iterable[int]]) -> Iterator[ExpVec]:
     for raw in vectors:
-        v = tuple(int(x) for x in raw)
+        v = checked_ints(raw, "exponent")
         if len(v) != n:
             raise DimensionMismatch(
                 f"exponent vector {v} has length {len(v)}, expected {n}"
             )
         if any(x < 0 for x in v):
             raise ValueError(f"negative exponent in {v}")
-        vecs.append(v)
-    return vecs
+        yield v
 
 
 class MonomialIdeal(NamedTuple):
@@ -210,19 +217,14 @@ class MonomialIdeal(NamedTuple):
     __add__ = __mul__ = __rmul__ = __contains__ = _refuse
 
     def power(self, k: int) -> MonomialIdeal:
-        """k-th ordinary power by square-and-multiply, k=0 gives the unit ideal."""
+        """k-th ordinary power as k products by I, k=0 gives the unit ideal."""
         if k < 0:
             raise ValueError(f"power exponent must be >= 0, got {k}")
         packing = Packing(self.n, k * _top(self.gens))  # one packing for I^j, j <= k
         result = [0]  # the unit ideal
         base = list(map(packing.pack, self.gens))
-        e = k
-        while e:
-            if e & 1:
-                result = packing.product(result, base)
-            e >>= 1
-            if e:
-                base = packing.product(base, base)
+        for _ in range(k):
+            result = packing.product(result, base)
         return MonomialIdeal(self.n, tuple(map(packing.unpack, result)))
 
     def saturate(self, other: MonomialIdeal) -> MonomialIdeal:

@@ -356,6 +356,14 @@ class TestDecompose:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("cover", ["1_0,1,1;2", " 1,1,1;2", "1,1,1;\u0662"])
+    def test_cover_fields_are_ascii_digits(self, capsys, triangle_file, cover):
+        # int() would read "1_0" as 10, take spaces and read the Arabic-Indic 2
+        for command in ("decompose", "split"):
+            code, out, err = run(capsys, command, triangle_file, "--cover", cover)
+            assert (code, out) == (2, "")
+            assert err == f"error: cover must look like '1,1,0;2', got {cover!r}\n"
+
     def test_no_vertices_cover(self, capsys, empty_file):
         code, out, err = run(capsys, "decompose", empty_file, "--cover", ";2")
         assert (code, out, err) == (0, "decomposable: t + t\n", "")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -82,6 +83,17 @@ class TestValidate:
         ):
             WeightedComplex.from_dict({"n": 3, "facets": [[1, 1, 2]]})
 
+    @pytest.mark.parametrize("bad", [1.7, True, "1"])
+    def test_vertices_and_weights_are_not_coerced(self, bad):
+        # int() would read vertex 1.7 as 1, weight True as 1 and "1" as 1
+        shown = re.escape(repr(bad))
+        with pytest.raises(ValueError, match=f"vertex must be an integer, got {shown}"):
+            WeightedComplex.validate(3, [[0, bad], [1, 2]])
+        with pytest.raises(
+            ValueError, match=f"facet weight must be an integer, got {shown}"
+        ):
+            WeightedComplex.validate(3, [[0, 1], [1, 2]], [1, bad])
+
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(InvalidComplex, match="weights"):
             WeightedComplex.validate(3, [(0, 1), (1, 2)], [1])
@@ -126,6 +138,16 @@ class TestIsCover:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             is_cover(triangle(), (1, 1), 1)
+
+    @pytest.mark.parametrize("bad", [0.9, True, "1"])
+    def test_coordinates_are_not_coerced(self, bad):
+        # int() would make (0.9, 1, 1) the non-cover (0, 1, 1), and
+        # ("1", "1", "1") a cover
+        with pytest.raises(
+            ValueError,
+            match=f"cover coordinate must be an integer, got {re.escape(repr(bad))}",
+        ):
+            is_cover(triangle(), (bad, 1, 1), 1)
 
 
 def test_face_sum():

@@ -638,6 +638,27 @@ class TestHilbertBasis:
             widened += any(abs(c) > 127 for row in rows for c in row)
             done += 1
         assert widened >= 15
+        # rows in {-1, 0, 1} in dimensions 3 and 4, where most pair sums
+        # have lam = 0 and one side scan settles each of them; a capped
+        # basis is the full one cut at the cap
+        done = 0
+        while done < 40:
+            dim = rng.randint(3, 4)
+            rows = tuple(
+                tuple(rng.choice([-1, 0, 1]) for _ in range(dim))
+                for _ in range(rng.randint(1, 3))
+            )
+            system = ConeSystem(dim, rows)
+            try:
+                want = primal_hilbert_basis(system)
+            except DegenerateCone:
+                continue
+            assert hilbert_basis(system) == HilbertBasis(dim, want, False), rows
+            cap = rng.randint(0, want[-1][-1])
+            capped = hilbert_basis(system, cap)
+            assert capped.points == tuple(p for p in want if p[-1] <= cap), rows
+            assert capped.truncated or capped.points == want, (rows, cap)
+            done += 1
 
     def test_empty_complex_cone(self):
         c = WeightedComplex.validate(3, [])

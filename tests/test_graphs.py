@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 from math import prod
 
@@ -104,6 +105,17 @@ class TestBipartition:
 
 def parts_of(*pairs):
     return [CoverPoint(a, k) for a, k in pairs]
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"])
+def test_split_and_decompose_do_not_coerce(bad):
+    # int() would split the edge cover (2.5, 1.5) of order 3 as (2, 1)
+    want = f"cover coordinate must be an integer, got {re.escape(repr(bad))}"
+    edge = graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match=want):
+        split(edge, (bad, 1.5), 3)
+    with pytest.raises(ValueError, match=want):
+        decompose(triangle_graph(), (1, 1, bad), 2)
 
 
 class TestSplitOrder2:

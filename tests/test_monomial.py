@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 
 import pytest
 
@@ -39,6 +40,15 @@ class TestMinimalize:
     def test_mixed_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):
             MonomialIdeal.from_gens(2, [(1, 0), (1, 0, 0)])
+
+    @pytest.mark.parametrize("bad", [1.7, True, "2"])
+    def test_exponents_are_not_coerced(self, bad):
+        # int() would read [[1.7, 0], ["2", 1]] as the ideal (x1)
+        with pytest.raises(
+            ValueError,
+            match=f"exponent must be an integer, got {re.escape(repr(bad))}",
+        ):
+            MonomialIdeal.from_gens(2, [(1, 0), (bad, 1)])
 
     def test_generated_ideal_unchanged(self):
         rng = random.Random(7)
@@ -148,7 +158,7 @@ class TestMultiplyPowerSum:
         )
         assert i.power(2) == brute
 
-    def test_binary_exponentiation_matches_repeated_multiply(self):
+    def test_power_matches_repeated_products(self):
         rng = random.Random(11)
         for _ in range(20):
             i = random_ideal(rng, rng.randint(2, 3))
