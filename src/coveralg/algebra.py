@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 from .complexes import CoverPoint, WeightedComplex, cover_complex, facet_complex
 from .cone import build_cone, hilbert_basis
 from .errors import InternalError, NonSquarefreeIdeal, TruncatedPresentation
-from .monomial import ExpVec, MonomialIdeal, Packing
+from .monomial import ExpVec, MonomialIdeal, Packing, checked_int
 
 
 class AlgebraPresentation(NamedTuple):
@@ -100,7 +100,12 @@ def _bits(flags: Iterable[object]) -> int:
 
 
 def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th symbolic power of a squarefree ideal, read off a cover algebra.
+    """k-th symbolic power of a squarefree ideal, read off a cover algebra."""
+    return _symbolic_power(ideal, k)[0]
+
+
+def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec | None]:
+    """I^(k) of a squarefree I, and its least generator outside I^k, or None.
 
     I^(k) is the degree-k part of the vertex cover algebra of the complex
     of I's minimal primes (Herzog, Hibi and Trung, Adv. Math. 210 (2007)),
@@ -112,7 +117,9 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     So S_j, the minimal j-covers, lies among the sums g.a + s with s in
     S_(j - deg g) and g no earlier in the generator list than the last
     generator s was built with. Generators above degree k cannot be
-    summands and are capped off.
+    summands and are capped off. A cover keeps the first sum met, so by
+    induction on j it holds the least last-summand index of all its sums.
+    It lies in I^j iff that summand, and so every earlier one, has degree 1.
 
     Such a sum a is a j-cover. It is minimal exactly when every vertex of
     its support lies in a prime P with a(P) = j, and since g.a(P) >= deg g
@@ -121,14 +128,14 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     bitmasks, so the test takes a few integer operations per sum and no
     antichain is formed.
     """
-    if k < 1:
+    if checked_int(k, "symbolic power order") < 1:
         raise ValueError(f"symbolic power order must be >= 1, got {k}")
     if not ideal.is_squarefree:
         raise NonSquarefreeIdeal(
             "symbolic power via minimal primes requires a squarefree ideal"
         )
     if ideal.is_zero or ideal.is_unit:
-        return ideal
+        return ideal, None
     cover = cover_complex(facet_complex(ideal))
     primes = cover.facets
     # a(P) read off a + (0,): with index n too, a getter returns a tuple
@@ -166,7 +173,9 @@ def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
         if reduce(or_, level, 0) & packing.guards:
             raise InternalError(f"a minimal {j}-cover overflowed its field")
         sums.append(level)
-    return MonomialIdeal(ideal.n, tuple(map(packing.unpack, sorted(sums[k]))))
+    covers, unpack = sorted(sums[k]), packing.unpack
+    outside = (unpack(a) for a in covers if gens[sums[k][a][2]][1] > 1)
+    return MonomialIdeal(ideal.n, tuple(map(unpack, covers))), next(outside, None)
 
 
 class PowerComparison(NamedTuple):
@@ -178,15 +187,11 @@ def compare_powers(ideal: MonomialIdeal, k: int) -> PowerComparison:
     """Compare the k-th ordinary and symbolic powers of a squarefree ideal.
 
     On strict containment, the witness is the (degree, lex)-least symbolic
-    generator outside the ordinary power.
+    generator outside the ordinary power. The pass that builds I^(k) keeps,
+    by induction, each cover's least last-summand index. The cover lies in
+    I^k, as a sum of k generators of I, iff that summand has degree 1.
     """
-    if k < 1:
+    if checked_int(k, "power") < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    symbolic = squarefree_symbolic_power(ideal, k)  # refuses a non-squarefree I
-    ordinary = set(ideal.power(k).gens)
-    # I^k lies in I^(k). So if a generator g of I^(k) lies in I^k, a
-    # generator h of I^k divides g and a generator of I^(k) divides h; in
-    # an antichain that one is g, so g = h. A generator of I^(k) lies in
-    # I^k exactly when it generates I^k too.
-    witness = next((g for g in symbolic.gens if g not in ordinary), None)
+    witness = _symbolic_power(ideal, k)[1]  # refuses a non-squarefree I
     return PowerComparison(witness is None, witness)

@@ -12,7 +12,9 @@ from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
-from .monomial import ExpVec, MonomialIdeal, Packing, checked_ints, file_field
+from .monomial import (
+    ExpVec, MonomialIdeal, Packing, checked_int, checked_ints, file_field,
+)
 
 
 class CoverPoint(NamedTuple):
@@ -43,7 +45,7 @@ class WeightedComplex(NamedTuple):
         Messages name vertices 1-indexed, as the file does. Facets are
         sorted by (size, vertex tuple) with weights carried along.
         """
-        if n < 0:
+        if checked_int(n, "vertex count") < 0:
             raise InvalidComplex(f"vertex count must be >= 0, got {n}")
         raw = [checked_ints(f, "vertex") for f in facets]
         fs = [frozenset(f) for f in raw]
@@ -114,7 +116,7 @@ def is_cover(complex_: WeightedComplex, a: Iterable[int], k: int) -> bool:
         raise DimensionMismatch(
             f"vector of length {len(av)} for complex on {complex_.n} vertices"
         )
-    if k < 0:
+    if checked_int(k, "cover order") < 0:
         raise ValueError(f"cover order must be >= 0, got {k}")
     return all(x >= 0 for x in av) and all(
         sum(av[i] for i in f) >= k * w

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .complexes import WeightedComplex
-from .monomial import guard_bits
+from .monomial import checked_int, guard_bits
 
 LatticePoint = tuple[int, ...]
 
@@ -268,7 +268,7 @@ def hilbert_basis(
     above it; truncated says it dropped a sum or a point, so False proves
     the basis whole.
     """
-    if degree_cap is not None and degree_cap < 0:
+    if degree_cap is not None and checked_int(degree_cap, "degree cap") < 0:
         raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
     d = system.dim
     width = _START_WIDTH

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 from .algebra import generators
 from .complexes import CoverPoint, WeightedComplex, is_cover
 from .errors import InternalError, NotAGraph
-from .monomial import ExpVec, checked_ints
+from .monomial import ExpVec, checked_int, checked_ints
 
 
 def neighbors(complex_: WeightedComplex) -> list[set[int]]:
@@ -162,7 +162,7 @@ def decompose(
     least such g.a, also the lex least b of any split, and i is the least
     order that c = a - b allows.
     """
-    if k < 2:
+    if checked_int(k, "cover order") < 2:
         raise ValueError(f"decomposition needs order k >= 2, got {k}")
     av = checked_ints(a, "cover coordinate")
     if not is_cover(complex_, av, k):

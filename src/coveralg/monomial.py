@@ -115,6 +115,11 @@ def checked_ints(values: Iterable[object], what: str) -> tuple[int, ...]:
     return v
 
 
+def checked_int(value: object, what: str) -> int:
+    """value itself, checked as `checked_ints` checks each of its values."""
+    return checked_ints((value,), what)[0]
+
+
 def file_field(data: object, key: str, depth: int, error: type, default=...):
     """data[key] of a file's JSON object, checked to be ints nested depth deep.
 
@@ -153,6 +158,7 @@ class MonomialIdeal(NamedTuple):
 
     @classmethod
     def from_gens(cls, n: int, vectors: Iterable[Iterable[int]]) -> MonomialIdeal:
+        n = checked_int(n, "variable count")
         return cls(n, minimal_elements(_checked(n, vectors)))
 
     @property
@@ -218,7 +224,7 @@ class MonomialIdeal(NamedTuple):
 
     def power(self, k: int) -> MonomialIdeal:
         """k-th ordinary power as k products by I, k=0 gives the unit ideal."""
-        if k < 0:
+        if checked_int(k, "power exponent") < 0:
             raise ValueError(f"power exponent must be >= 0, got {k}")
         packing = Packing(self.n, k * _top(self.gens))  # one packing for I^j, j <= k
         result = [0]  # the unit ideal
@@ -247,7 +253,7 @@ class MonomialIdeal(NamedTuple):
 
     def symbolic_power(self, k: int, wrt: MonomialIdeal) -> MonomialIdeal:
         """k-th power saturated by wrt."""
-        if k < 1:
+        if checked_int(k, "symbolic power order") < 1:
             raise ValueError(f"symbolic power order must be >= 1, got {k}")
         return self.power(k).saturate(wrt)
 

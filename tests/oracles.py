@@ -2,16 +2,18 @@
 
 Everything here recomputes answers from first principles (definitions,
 enumeration, exhaustive scans) or by a second algorithm (symbolic powers
-by intersecting prime powers, and the primal Hilbert-basis engine at the
-end) without calling the code paths under test, so a test comparing the
-two sides is a genuine cross-check. Helpers that only the tests use live
-here too: the skeletons of a simplex, Veronese weight scaling, cone
+by intersecting prime powers, the symbolic-ordinary comparison by forming
+the ordinary power, the Gorenstein property by the Danilov-Stanley count
+of the interior's minimal points, and the primal Hilbert-basis engine at
+the end) without calling the code paths under test, so a test comparing
+the two sides is a genuine cross-check. Helpers that only the tests use
+live here too: the skeletons of a simplex, Veronese weight scaling, cone
 membership row by row, the Bareiss determinant and the 0/1 determinant
 bound of the primal engine, the odd-cycle domination filter of the graph
 tests, the search for a Veronese degree d by comparing powers of ideals,
-the yes/no forms of the standard-graded and Gorenstein verdicts, and the
-ideal calculus the package does not need: the zero and unit ideals,
-products, sums and colons of monomial ideals.
+the yes/no form of the standard-graded verdict, and the ideal calculus
+the package does not need: the zero and unit ideals, products, sums and
+colons of monomial ideals.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import combinations, product as cartesian
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from coveralg.algebra import generators, gorenstein_report, max_degree
+from coveralg.algebra import generators, max_degree, squarefree_symbolic_power
 from coveralg.complexes import CoverPoint, WeightedComplex, is_cover
 from coveralg.cone import ConeSystem
 from coveralg.errors import DimensionMismatch
@@ -356,8 +358,27 @@ def is_standard_graded(complex_: WeightedComplex) -> bool:
     return max_degree(generators(complex_)) <= 1
 
 
-def is_gorenstein(complex_: WeightedComplex) -> bool | None:
-    return gorenstein_report(complex_).verdict
+def is_gorenstein(complex_: WeightedComplex) -> bool:
+    """Danilov-Stanley: the cover algebra is Gorenstein iff its interior
+    ideal is principal (Bruns and Herzog, Cohen-Macaulay Rings, Thm 6.3.5).
+
+    The interior's lattice points are the (a, k) with every coordinate and
+    every facet row at least 1. Homogenised by a new last coordinate s as
+    {x_i >= s, row . x >= s}, its minimal points are the Hilbert basis
+    points with s = 1, counted here by the primal engine, so neither the
+    paper's criterion nor the dual engine under test is used.
+    """
+    n = complex_.n
+    rows = [
+        tuple(1 if j == i else -1 if j == n + 1 else 0 for j in range(n + 2))
+        for i in range(n + 1)
+    ]
+    rows += [
+        tuple(int(i in f) for i in range(n)) + (-w, -1)
+        for f, w in zip(complex_.facets, complex_.weights)
+    ]
+    basis = primal_hilbert_basis(ConeSystem(n + 2, tuple(rows)))
+    return sum(p[-1] == 1 for p in basis) == 1
 
 
 def _weak_compositions(total: int, parts: int):
@@ -402,6 +423,20 @@ def symbolic_power_by_intersection(ideal: MonomialIdeal, k: int) -> MonomialIdea
     for c in minimal_hitting_sets(ideal.n, supports):
         result = result.intersect(prime_power_ideal(ideal.n, c, k))
     return result
+
+
+def compare_by_ordinary_power(ideal: MonomialIdeal, k: int) -> tuple:
+    """(equal, witness) of `compare_powers` by forming I^k as well.
+
+    I^k lies in I^(k). So if a generator g of I^(k) lies in I^k, a
+    generator h of I^k divides g and a generator of I^(k) divides h; in an
+    antichain that one is g, so g = h. The witness is the first generator
+    of I^(k), in (degree, lex) order, that is no generator of I^k.
+    """
+    ordinary = set(ideal.power(k).gens)
+    symbolic = squarefree_symbolic_power(ideal, k)
+    witness = next((g for g in symbolic.gens if g not in ordinary), None)
+    return witness is None, witness
 
 
 def extreme_rays_bruteforce(rows, dim):

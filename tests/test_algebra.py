@@ -45,6 +45,22 @@ def random_antichain_complex(rng, n, max_weight=1):
             continue
 
 
+def face_ideal(n, faces):
+    return MonomialIdeal.from_gens(
+        n, [tuple(1 if i in f else 0 for i in range(n)) for f in faces]
+    )
+
+
+def cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+# outer 5-cycle, spokes, inner pentagram
+PETERSEN = cycle(5) + [(i, i + 5) for i in range(5)] + [
+    (5 + i, 5 + (i + 2) % 5) for i in range(5)
+]
+
+
 class TestGenerators:
     def test_triangle(self):
         pres = algebra.generators(triangle())
@@ -240,10 +256,23 @@ class TestGorenstein:
         report = algebra.gorenstein_report(c)
         assert report.verdict is None
         assert report.stripped == ((0, 1), (1, 1))
-        assert oracles.is_gorenstein(c) is None
+        # the criterion does not apply, but the algebra is Gorenstein: its
+        # monoid is free on the units and one degree-1 generator
+        assert oracles.is_gorenstein(c) is True
         report = algebra.gorenstein_report(WeightedComplex.validate(0, []))
         assert report.verdict is None
         assert report.stripped == report.offending == ()
+
+    def test_matches_danilov_stanley_count_on_random_complexes(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for _ in range(300):
+            c = random_antichain_complex(rng, rng.randint(1, 5), max_weight=3)
+            verdict = algebra.gorenstein_report(c).verdict
+            # None: the criterion does not apply, and those algebras are Gorenstein
+            assert oracles.is_gorenstein(c) is (True if verdict is None else verdict)
+            verdicts.add(verdict)
+        assert verdicts == {True, False, None}
 
 
 class TestDegreeBound:
@@ -334,15 +363,63 @@ class TestComparePowers:
             assert all_equal == standard
             done += 1
 
+    # the one cover-algebra pass against forming I^k and looking it up
+    NAMED = {
+        **{f"C7-k{k}": (7, cycle(7), k, False) for k in (4, 5, 6)},
+        "C9-k8": (9, cycle(9), 8, False),
+        "C10-k6": (10, cycle(10), 6, True),  # bipartite
+        "Petersen-k3": (10, PETERSEN, 3, False),
+        "K6-k5": (6, list(combinations(range(6), 2)), 5, False),
+        "triangles7-k3": (7, list(combinations(range(7), 3)), 3, False),
+    }
 
-def face_ideal(n, faces):
-    return MonomialIdeal.from_gens(
-        n, [tuple(1 if i in f else 0 for i in range(n)) for f in faces]
-    )
+    @pytest.mark.parametrize("n, faces, k, equal", NAMED.values(), ids=list(NAMED))
+    def test_matches_ordinary_power_route_on_named_ideals(self, n, faces, k, equal):
+        ideal = face_ideal(n, faces)
+        result = algebra.compare_powers(ideal, k)
+        assert tuple(result) == oracles.compare_by_ordinary_power(ideal, k)
+        assert result.equal == equal
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    def test_order_is_not_coerced(self, bad):
+        with pytest.raises(ValueError, match=f"power must be an integer, got {bad!r}"):
+            algebra.compare_powers(face_ideal(3, cycle(3)), bad)
+
+    def test_odd_cycle_witness_is_all_variables(self):
+        # C_(2m+1) needs m + 1 of its vertices in every vertex cover
+        for n in (5, 7, 9):
+            result = algebra.compare_powers(face_ideal(n, cycle(n)), n // 2 + 1)
+            assert result == (False, (1,) * n)
+
+    def test_matches_ordinary_power_route_on_random_ideals(self):
+        rng = random.Random(43)
+        outcomes = set()
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            faces = [
+                rng.sample(range(n), rng.randint(1, min(4, n)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            ideal = face_ideal(n, faces)
+            for k in range(1, 7):
+                expected = oracles.compare_by_ordinary_power(ideal, k)
+                assert tuple(algebra.compare_powers(ideal, k)) == expected
+                outcomes.add(expected[0])
+        assert outcomes == {True, False}
 
 
-def cycle(n):
-    return [(i, (i + 1) % n) for i in range(n)]
+@pytest.mark.parametrize("bad", [2.0, True])
+def test_symbolic_power_order_is_not_coerced(bad):
+    with pytest.raises(
+        ValueError, match=f"symbolic power order must be an integer, got {bad!r}"
+    ):
+        algebra.squarefree_symbolic_power(face_ideal(3, cycle(3)), bad)
+
+
+@pytest.mark.parametrize("bad", [1.5, True])
+def test_generators_cap_is_not_coerced(bad):
+    with pytest.raises(ValueError, match=f"degree cap must be an integer, got {bad!r}"):
+        algebra.generators(triangle(), bad)
 
 
 class TestSymbolicPowerByCoverAlgebra:

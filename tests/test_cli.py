@@ -221,6 +221,16 @@ class TestCompare:
             "error: symbolic power via minimal primes requires a squarefree ideal\n"
         )
 
+    def test_squarefree_forms_no_ordinary_power(self, capsys, monkeypatch, ideal_file):
+        # membership in I^k is read off the pass that builds I^(k)
+        def no_power(self, k):
+            raise AssertionError("compare formed an ordinary power")
+
+        monkeypatch.setattr(MonomialIdeal, "power", no_power)
+        code, out, _ = run(capsys, "compare", ideal_file, "-n", "3", "--json")
+        assert code == 0
+        assert json.loads(out) == {"k": 3, "equal": False, "witness": [1, 2, 2]}
+
     def test_triangle_proper(self, capsys, ideal_file):
         code, out, _ = run(capsys, "compare", ideal_file, "-n", "2")
         assert code == 0

@@ -94,6 +94,13 @@ class TestValidate:
         ):
             WeightedComplex.validate(3, [[0, 1], [1, 2]], [1, bad])
 
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_vertex_count_is_not_coerced(self, bad):
+        with pytest.raises(
+            ValueError, match=f"vertex count must be an integer, got {bad!r}"
+        ):
+            WeightedComplex.validate(bad, [[0], [1]])
+
     def test_weight_count_mismatch_rejected(self):
         with pytest.raises(InvalidComplex, match="weights"):
             WeightedComplex.validate(3, [(0, 1), (1, 2)], [1])
@@ -148,6 +155,14 @@ class TestIsCover:
             match=f"cover coordinate must be an integer, got {re.escape(repr(bad))}",
         ):
             is_cover(triangle(), (bad, 1, 1), 1)
+
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_order_is_not_coerced(self, bad):
+        # (1, 1, 1) is a cover of order 1, but 1.5 and True are no orders
+        with pytest.raises(
+            ValueError, match=f"cover order must be an integer, got {bad!r}"
+        ):
+            is_cover(triangle(), (1, 1, 1), bad)
 
 
 def test_face_sum():

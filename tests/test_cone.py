@@ -496,6 +496,13 @@ class TestHilbertBasis:
         with pytest.raises(ValueError, match="degree cap must be >= 0, got -1"):
             hilbert_basis(build_cone(triangle()), degree_cap=-1)
 
+    @pytest.mark.parametrize("bad", [1.5, True])
+    def test_cap_is_not_coerced(self, bad):
+        with pytest.raises(
+            ValueError, match=f"degree cap must be an integer, got {bad!r}"
+        ):
+            hilbert_basis(build_cone(triangle()), bad)
+
     def test_capped_completion_is_the_basis_cut_at_the_cap(self):
         # the cap prunes pair sums inside the completion, and what is left
         # must be exactly the full basis up to the cap, at every cap

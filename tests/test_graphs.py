@@ -118,6 +118,19 @@ def test_split_and_decompose_do_not_coerce(bad):
         decompose(triangle_graph(), (1, 1, bad), 2)
 
 
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_split_order_is_not_coerced(bad):
+    # the message names the order as given, never int(bad)
+    with pytest.raises(ValueError, match=f"cover order must be an integer, got {bad!r}"):
+        split(graph(2, [(0, 1)]), (2, 1), bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, True])
+def test_decompose_order_is_not_coerced(bad):
+    with pytest.raises(ValueError, match=f"cover order must be an integer, got {bad!r}"):
+        decompose(triangle_graph(), (1, 1, 1), bad)
+
+
 class TestSplitOrder2:
     def test_all_positive_coordinates(self):
         assert split(triangle_graph(), (3, 3, 3), 3) == parts_of(

@@ -50,6 +50,13 @@ class TestMinimalize:
         ):
             MonomialIdeal.from_gens(2, [(1, 0), (bad, 1)])
 
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_variable_count_is_not_coerced(self, bad):
+        with pytest.raises(
+            ValueError, match=f"variable count must be an integer, got {bad!r}"
+        ):
+            MonomialIdeal.from_gens(bad, [(1, 0)])
+
     def test_generated_ideal_unchanged(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -205,6 +212,14 @@ class TestMultiplyPowerSum:
         with pytest.raises(TypeError, match=f"'{name}' and 'MonomialIdeal'"):
             left * ideal(2, (1, 0))
 
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_power_exponent_is_not_coerced(self, bad):
+        # True would give I itself, and 2.0 failed deep inside the packing
+        with pytest.raises(
+            ValueError, match=f"power exponent must be an integer, got {bad!r}"
+        ):
+            ideal(2, (1, 0), (0, 1)).power(bad)
+
 
 class TestColon:
     # the colon oracle that the saturation tests chain
@@ -308,6 +323,14 @@ class TestSymbolicPower:
             planes[0].power(2).intersect(planes[1].power(2)).intersect(planes[2].power(2))
         )
         assert edges.symbolic_power(2, maxl) == expected
+
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_saturated_power_order_is_not_coerced(self, bad):
+        i = ideal(2, (1, 0), (0, 1))
+        with pytest.raises(
+            ValueError, match=f"symbolic power order must be an integer, got {bad!r}"
+        ):
+            i.symbolic_power(bad, i)
 
 
 class TestEquality:
