@@ -13,7 +13,7 @@ from math import isqrt
 from operator import itemgetter, or_
 from typing import Iterable, NamedTuple
 
-from .complexes import CoverPoint, WeightedComplex, cover_complex, facet_complex
+from .complexes import CoverPoint, WeightedComplex, cover_complex
 from .cone import build_cone, hilbert_basis
 from .errors import InternalError, NonSquarefreeIdeal, TruncatedPresentation
 from .monomial import ExpVec, MonomialIdeal, Packing, checked_int
@@ -89,7 +89,7 @@ def degree_limit(n: int) -> int:
     Exactly: the largest d with d^2 * 4^n < (n+1)^(n+3). The bound is
     stated for n >= 1.
     """
-    if n < 1:
+    if checked_int(n, "vertex count") < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
@@ -136,7 +136,7 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
         )
     if ideal.is_zero or ideal.is_unit:
         return ideal, None
-    cover = cover_complex(facet_complex(ideal))
+    cover = cover_complex(ideal)
     primes = cover.facets
     # a(P) read off a + (0,): with index n too, a getter returns a tuple
     getters = [itemgetter(ideal.n, *p) for p in primes]

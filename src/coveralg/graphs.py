@@ -200,7 +200,7 @@ def family_instance(m: int, k: int) -> FamilyInstance:
     and V minus each wrapped run {i..i+k-1}; the distinguished cover takes
     the value k on hubs and 1 elsewhere, meeting every facet with equality.
     """
-    if m < 2 or k < 2:
+    if min(checked_ints((m, k), "family parameter")) < 2:
         raise ValueError(f"family needs m, k >= 2, got m={m}, k={k}")
     n = m + 2 * k + 1
 

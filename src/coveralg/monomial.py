@@ -158,7 +158,8 @@ class MonomialIdeal(NamedTuple):
 
     @classmethod
     def from_gens(cls, n: int, vectors: Iterable[Iterable[int]]) -> MonomialIdeal:
-        n = checked_int(n, "variable count")
+        if checked_int(n, "variable count") < 0:
+            raise ValueError(f"variable count must be >= 0, got {n}")
         return cls(n, minimal_elements(_checked(n, vectors)))
 
     @property

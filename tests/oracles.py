@@ -4,16 +4,16 @@ Everything here recomputes answers from first principles (definitions,
 enumeration, exhaustive scans) or by a second algorithm (symbolic powers
 by intersecting prime powers, the symbolic-ordinary comparison by forming
 the ordinary power, the Gorenstein property by the Danilov-Stanley count
-of the interior's minimal points, and the primal Hilbert-basis engine at
-the end) without calling the code paths under test, so a test comparing
-the two sides is a genuine cross-check. Helpers that only the tests use
-live here too: the skeletons of a simplex, Veronese weight scaling, cone
-membership row by row, the Bareiss determinant and the 0/1 determinant
-bound of the primal engine, the odd-cycle domination filter of the graph
-tests, the search for a Veronese degree d by comparing powers of ideals,
-the yes/no form of the standard-graded verdict, and the ideal calculus
-the package does not need: the zero and unit ideals, products, sums and
-colons of monomial ideals.
+of the interior's minimal points, standard gradedness by the degrees of
+the cover cone's basis, and the primal Hilbert-basis engine at the end)
+without calling the code paths under test, so a test comparing the two
+sides is a genuine cross-check. Helpers that only the tests use live here
+too: the skeletons of a simplex, Veronese weight scaling, the facet ideal
+of a complex, cone membership row by row, the Bareiss determinant and the
+0/1 determinant bound of the primal engine, the odd-cycle domination
+filter of the graph tests, the search for a Veronese degree d by comparing
+powers of ideals, and the ideal calculus the package does not need: the
+zero and unit ideals, products, sums and colons of monomial ideals.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import combinations, product as cartesian
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from coveralg.algebra import generators, max_degree, squarefree_symbolic_power
+from coveralg.algebra import squarefree_symbolic_power
 from coveralg.complexes import CoverPoint, WeightedComplex, is_cover
 from coveralg.cone import ConeSystem
 from coveralg.errors import DimensionMismatch
@@ -133,6 +133,15 @@ def coordinate_max(*gen_lists):
             for i, e in enumerate(g):
                 out[i] = max(out[i], e)
     return tuple(out)
+
+
+def facet_ideal(complex_: WeightedComplex) -> MonomialIdeal:
+    """The squarefree ideal generated by the product of each facet's
+    variables; the weights are ignored."""
+    n = complex_.n
+    return MonomialIdeal.from_gens(
+        n, [tuple(int(i in f) for i in range(n)) for f in complex_.facets]
+    )
 
 
 def minimal_hitting_sets(n, facets):
@@ -354,8 +363,19 @@ def find_veronese_d(
 
 
 def is_standard_graded(complex_: WeightedComplex) -> bool:
-    """True iff every minimal algebra generator has degree 1."""
-    return max_degree(generators(complex_)) <= 1
+    """True iff every minimal algebra generator has degree 1.
+
+    The generators are the cover cone's Hilbert basis points of positive
+    degree. The cone {(a, k) >= 0 : a(F) >= k * w_F} is built here from
+    the facets and its basis found by the primal engine, so neither
+    `build_cone`, `generators` nor the dual engine under test is used.
+    """
+    n = complex_.n
+    rows = tuple(
+        tuple(int(i in f) for i in range(n)) + (-w,)
+        for f, w in zip(complex_.facets, complex_.weights)
+    )
+    return all(p[-1] <= 1 for p in primal_hilbert_basis(ConeSystem(n + 1, rows)))
 
 
 def is_gorenstein(complex_: WeightedComplex) -> bool:

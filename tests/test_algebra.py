@@ -196,6 +196,20 @@ class TestIsStandardGraded:
             assert oracles.is_standard_graded(g)
             done += 1
 
+    def test_engine_verdict_matches_oracle(self):
+        # the verdict `check standard` prints, against the primal engine's
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(40):
+            n = rng.randint(3, 5)
+            size = rng.choice((2, 3))  # faces of one size form an antichain
+            faces = [f for f in combinations(range(n), size) if rng.random() < 0.6]
+            c = WeightedComplex.validate(n, faces, [rng.randint(1, 2) for _ in faces])
+            standard = oracles.is_standard_graded(c)
+            assert (algebra.max_degree(algebra.generators(c)) <= 1) == standard
+            seen.add(standard)
+        assert seen == {True, False}
+
 
 class TestFindVeroneseD:
     def test_three_planes_need_two(self):
@@ -293,6 +307,14 @@ class TestDegreeBound:
         for n in (0, -1):
             with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
                 algebra.degree_limit(n)
+
+    @pytest.mark.parametrize("bad", [2.0, True])
+    def test_vertex_count_is_not_coerced(self, bad):
+        # True read as 1 gave the bound for one vertex
+        with pytest.raises(
+            ValueError, match=f"vertex count must be an integer, got {bad!r}"
+        ):
+            algebra.degree_limit(bad)
 
 
 class TestDeterminantBound:

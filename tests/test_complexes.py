@@ -12,13 +12,14 @@ from coveralg.complexes import (
     CoverPoint,
     WeightedComplex,
     cover_complex,
-    facet_complex,
     is_cover,
     skeleton_generators,
 )
 from coveralg.errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
 from coveralg.monomial import MonomialIdeal
-from oracles import cover_ideal, module_generators, prime_power_ideal, skeleton
+from oracles import (
+    cover_ideal, facet_ideal, module_generators, prime_power_ideal, skeleton,
+)
 
 
 def triangle():
@@ -277,28 +278,21 @@ def random_graph(seed, n, m):
     return WeightedComplex.validate(n, edges)
 
 
+def dual(c):
+    """The complex of minimal vertex covers of c's facets."""
+    return cover_complex(facet_ideal(c))
+
+
 class TestFacetAndCoverComplex:
-    def test_facet_complex_of_edge_ideal(self):
-        edges = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
-        assert facet_complex(edges) == triangle()
-
-    def test_single_variable(self):
-        c = facet_complex(MonomialIdeal.from_gens(2, [(1, 0)]))
-        assert c.facets == (frozenset({0}),)
-
-    def test_non_squarefree_rejected(self):
-        with pytest.raises(NonSquarefreeIdeal):
-            facet_complex(MonomialIdeal.from_gens(2, [(2, 1)]))
-
     def test_triangle_is_self_dual(self):
-        assert cover_complex(triangle()) == triangle()
+        assert dual(triangle()) == triangle()
 
     def test_single_edge_dualizes_to_points(self):
-        c = WeightedComplex.validate(2, [(0, 1)])
-        assert cover_complex(c).facets == (frozenset({0}), frozenset({1}))
+        edge = MonomialIdeal.from_gens(2, [(1, 1)])
+        assert cover_complex(edge).facets == (frozenset({0}), frozenset({1}))
 
     def test_square_cover_complex(self):
-        assert cover_complex(square()).facets == (
+        assert dual(square()).facets == (
             frozenset({0, 2}),
             frozenset({1, 3}),
         )
@@ -307,7 +301,7 @@ class TestFacetAndCoverComplex:
         rng = random.Random(43)
         for _ in range(25):
             c = random_antichain_complex(rng, rng.randint(2, 6))
-            got = {f for f in cover_complex(c).facets}
+            got = {f for f in dual(c).facets}
             want = oracles.minimal_hitting_sets(
                 c.n, [tuple(f) for f in c.facets]
             )
@@ -317,16 +311,16 @@ class TestFacetAndCoverComplex:
         rng = random.Random(47)
         for _ in range(30):
             c = random_antichain_complex(rng, rng.randint(2, 6))
-            assert cover_complex(cover_complex(c)) == c
+            assert dual(dual(c)) == c
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_graphs_beyond_the_oracle(self, seed):
         rng = random.Random(seed)
         n = rng.randint(16, 26)
         c = random_graph(seed, n, rng.randint(n, 40))
-        dual = cover_complex(c)
-        assert cover_complex(dual) == c
-        for cover in dual.facets:
+        primes = dual(c)
+        assert dual(primes) == c
+        for cover in primes.facets:
             assert all(cover & e for e in c.facets)
             for v in cover:  # no vertex can be dropped
                 assert not all((cover - {v}) & e for e in c.facets)
@@ -334,11 +328,11 @@ class TestFacetAndCoverComplex:
     def test_26_vertex_graph_within_two_seconds(self):
         # 526 primes; a branch and bound over vertex choices takes about
         # 2 minutes on this graph, so the budget fails an exponential search
-        c = random_graph(3, 26, 40)
+        edges = facet_ideal(random_graph(3, 26, 40))
         start = time.perf_counter()
-        dual = cover_complex(c)
+        primes = cover_complex(edges)
         elapsed = time.perf_counter() - start
-        assert len(dual.facets) == 526
+        assert len(primes.facets) == 526
         assert elapsed < 2.0, f"cover complex took {elapsed:.2f} s"
 
     def test_cover_ideal_duality(self):
@@ -346,14 +340,36 @@ class TestFacetAndCoverComplex:
         rng = random.Random(53)
         for _ in range(15):
             c = random_antichain_complex(rng, rng.randint(2, 5))
-            facet_ideal = MonomialIdeal.from_gens(
-                c.n,
-                [
-                    tuple(1 if i in f else 0 for i in range(c.n))
-                    for f in c.facets
-                ],
+            assert cover_ideal(dual(c)) == facet_ideal(c)
+
+    def test_random_monomial_ideals_read_supports_only(self):
+        # exponents 0..3, so supports repeat and nest; only they count
+        rng = random.Random(61)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            gens = [
+                tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                for _ in range(rng.randint(1, 5))
+            ]
+            ideal = MonomialIdeal.from_gens(n, gens)
+            if ideal.is_unit:
+                continue
+            supports = [[i for i, e in enumerate(g) if e] for g in ideal.gens]
+            got = cover_complex(ideal)
+            assert set(got.facets) == oracles.minimal_hitting_sets(n, supports)
+            radical = MonomialIdeal.from_gens(
+                n, [tuple(min(e, 1) for e in g) for g in ideal.gens]
             )
-            assert cover_ideal(cover_complex(c)) == facet_ideal
+            assert got == cover_complex(radical)
+
+    def test_unit_ideal_has_no_facets(self):
+        for n in (0, 3):
+            unit = MonomialIdeal.from_gens(n, [(0,) * n])
+            assert cover_complex(unit) == WeightedComplex(n, (), ())
+
+    def test_zero_ideal_rejected(self):
+        with pytest.raises(InvalidComplex, match="empty facet"):
+            cover_complex(MonomialIdeal.from_gens(3, []))
 
 
 class TestSquarefreeSymbolicPower:
@@ -440,6 +456,14 @@ class TestSkeletonGenerators:
     def test_count_from_binomials(self):
         got = skeleton_generators(5, 2)
         assert len(got) == 16  # C(5,3) + C(5,4) + C(5,5)
+
+    @pytest.mark.parametrize("args", [(4.0, 1), (4, True)], ids=str)
+    def test_parameters_are_not_coerced(self, args):
+        bad = next(x for x in args if type(x) is not int)
+        with pytest.raises(
+            ValueError, match=f"skeleton parameter must be an integer, got {bad!r}"
+        ):
+            skeleton_generators(*args)
 
 
 class TestStripZeroDimFacets:

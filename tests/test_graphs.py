@@ -9,15 +9,14 @@ import pytest
 
 from coveralg import graphs
 from coveralg.complexes import (
-    CoverPoint, WeightedComplex, cover_complex, facet_complex, is_cover,
+    CoverPoint, WeightedComplex, cover_complex, is_cover,
 )
 from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InvalidComplex, NotAGraph
 from coveralg.graphs import (
     Decomposition, bipartition, decompose, family_instance, neighbors, split,
 )
-from coveralg.monomial import MonomialIdeal
-from oracles import box_decompose, odd_cycle_domination
+from oracles import box_decompose, facet_ideal, odd_cycle_domination
 
 
 def graph(n, edges, weights=None):
@@ -411,17 +410,18 @@ class TestFamilyInstance:
         with pytest.raises(ValueError):
             family_instance(2, 1)
 
+    @pytest.mark.parametrize("args", [(2.0, 2), (2, True)], ids=str)
+    def test_parameters_are_not_coerced(self, args):
+        bad = next(x for x in args if type(x) is not int)
+        with pytest.raises(
+            ValueError, match=f"family parameter must be an integer, got {bad!r}"
+        ):
+            family_instance(*args)
+
     def test_complex_is_cover_dual_of_graph(self):
         # the complex's facets are the minimal vertex covers of the graph
         inst = family_instance(2, 2)
-        edge_ideal = MonomialIdeal.from_gens(
-            inst.graph.n,
-            [
-                tuple(1 if i in e else 0 for i in range(inst.graph.n))
-                for e in inst.graph.facets
-            ],
-        )
-        assert cover_complex(facet_complex(edge_ideal)) == inst.complex
+        assert cover_complex(facet_ideal(inst.graph)) == inst.complex
 
     def test_graph_edge_counts(self):
         inst = family_instance(2, 2)

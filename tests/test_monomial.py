@@ -57,6 +57,11 @@ class TestMinimalize:
         ):
             MonomialIdeal.from_gens(bad, [(1, 0)])
 
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="variable count must be >= 0, got -1"):
+            MonomialIdeal.from_gens(-1, [])
+        assert MonomialIdeal.from_gens(0, [()]).is_unit
+
     def test_generated_ideal_unchanged(self):
         rng = random.Random(7)
         for _ in range(50):

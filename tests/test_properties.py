@@ -219,7 +219,7 @@ def test_symbolic_power_matches_intersection(ideal, k):
 @example(WeightedComplex.validate(4, [[0], [1], [2, 3]]))
 @example(WeightedComplex.validate(5, [[0], [1], [2], [3], [4]]))
 def test_cover_complex_matches_hitting_set_oracle(complex_):
-    got = set(cover_complex(complex_).facets)
+    got = set(cover_complex(oracles.facet_ideal(complex_)).facets)
     assert got == oracles.minimal_hitting_sets(complex_.n, complex_.facets)
 
 
