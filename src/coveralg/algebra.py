@@ -8,9 +8,10 @@ squared-integer comparators so every verdict is exact.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
+from itertools import compress
 from math import isqrt
-from operator import itemgetter, or_
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from .complexes import CoverPoint, WeightedComplex, cover_complex
@@ -138,23 +139,17 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
         return ideal, None
     cover = cover_complex(ideal)
     primes = cover.facets
-    # a(P) read off a + (0,): with index n too, a getter returns a tuple
-    getters = [itemgetter(ideal.n, *p) for p in primes]
+    selectors = [[v in p for v in range(ideal.n)] for p in primes]
     packing = Packing(ideal.n, k)  # a minimal j-cover has coordinates <= j
     gens = []
     for g in generators(cover, k).generators:
-        padded = g.a + (0,)
-        tight = _bits(sum(a_p(padded)) == g.k for a_p in getters)
+        tight = _bits(sum(compress(g.a, s)) == g.k for s in selectors)
         gens.append((packing.pack(g.a), g.k, tight, _bits(g.a)))
-    prime_masks = [sum(1 << v for v in p) for p in primes]
-    reach: dict[int, int] = {}  # tight primes -> the vertices they contain
+    prime_masks = list(map(_bits, selectors))
 
-    def reached(tight: int) -> int:
-        if tight not in reach:
-            reach[tight] = reduce(
-                or_, (m for i, m in enumerate(prime_masks) if tight >> i & 1), 0
-            )
-        return reach[tight]
+    @cache
+    def reached(tight: int) -> int:  # the vertices the tight primes contain
+        return reduce(or_, (m for i, m in enumerate(prime_masks) if tight >> i & 1), 0)
 
     # S_j: minimal j-cover -> (tight primes, support, index of last summand)
     sums = [{0: ((1 << len(primes)) - 1, 0, 0)}]

@@ -144,18 +144,21 @@ def _cut(
     digit sums (`_row_values`), into the sides `pos` (lam >= 0) and `neg`
     (lam <= 0), which share lam = 0; a side element also holds |lam| in
     one more field. Sums p + q with lam(p) > 0 > lam(q) are formed from
-    pairs with at least one element new since the last round; a sum joins
-    the side its sign of lam names, `pos` when lam = 0, unless an element
-    of that side lies below it in slack and |lam|, and a lam = 0 sum that
-    joins `pos` joins `neg` too. `pos` alone settles it: only an element
-    whose |lam| field is 0 can lie below it, and every such element is on
-    both sides, from the split and from each round. The sides only grow,
-    and the completion stops when a round adds nothing. The basis of the
-    cut is then the minimal part of `pos`, its |lam| field becoming the
-    new row's slack. No sum of t-degree above the cap is formed (the
-    flag returned says if one was skipped); t only adds under sums and
-    nothing with a larger t reduces an element, so the cut's points up to
-    the cap are exact.
+    `plus` and `minus`, the (slack, lam, t) of those elements in the order
+    they joined. A round pairs `plus[p0:]` with `minus` and `plus[:p0]`
+    with `minus[m0:]`, the marks being where its new elements start: each
+    pair with a new element once. lam is a function of the slack, so the
+    pair that forms a sum first does not matter. A sum joins the side its
+    sign of lam names, `pos` when lam = 0, unless an element of that side
+    lies below it in slack and |lam|, and a lam = 0 sum that joins `pos`
+    joins `neg` too. `pos` alone settles it: only an element whose |lam|
+    field is 0 can lie below it, and every such element is on both sides,
+    from the split and from each round. The sides only grow, and the
+    completion stops when a round adds nothing. The basis of the cut is
+    then the minimal part of `pos`, its |lam| field becoming the new row's
+    slack. No sum of t-degree above the cap is formed (the flag returned
+    says if one was skipped); t only adds under sums and nothing with a
+    larger t reduces an element, so the points up to the cap are exact.
 
     With every guard bit zero, y lies below x in every field exactly when
     ((x | H) - y) & H == H for the mask H of the guard bits: field by field
@@ -182,11 +185,8 @@ def _cut(
     t_at = (len(row) - 1) * width
     pos: list[int] = []  # packed slack and |lam| of the lam >= 0 side
     neg: list[int] = []  # ... and of the lam <= 0 side
-    # (packed slack, lam, t) of the elements with lam > 0 and lam < 0
-    pos_fresh: list[tuple[int, int, int]] = []
-    neg_fresh: list[tuple[int, int, int]] = []
-    pos_paired: list[tuple[int, int, int]] = []
-    neg_paired: list[tuple[int, int, int]] = []
+    plus: list[tuple[int, int, int]] = []
+    minus: list[tuple[int, int, int]] = []
     for x, lam in zip(basis, values):
         if not lam:
             pos.append(x)
@@ -194,36 +194,31 @@ def _cut(
             continue
         if abs(lam) > top:
             return None
-        side, fresh = (pos, pos_fresh) if lam > 0 else (neg, neg_fresh)
+        side, pairing = (pos, plus) if lam > 0 else (neg, minus)
         side.append(x | abs(lam) << shift)
-        fresh.append((x, lam, x >> t_at & mask))
+        pairing.append((x, lam, x >> t_at & mask))
 
     skipped = False
     ends = [len(pos)]  # where each round's sums start on pos
-    while pos_fresh or neg_fresh:
+    p0 = m0 = 0  # where this round's new elements start on plus and minus
+    while p0 < len(plus) or m0 < len(minus):
         sums: dict[int, int] = {}  # packed slack: lam
-        for plus, minus in (
-            (pos_fresh, neg_paired + neg_fresh),
-            (pos_paired, neg_fresh),
-        ):
-            for x, lam, t in plus:
+        for xs, ys in ((plus[p0:], minus), (plus[:p0], minus[m0:])):
+            for x, lam, t in xs:
                 # t-degree left for the summand; no stored t exceeds top
                 room = top if cap is None else cap - t
-                for y, mu, u in minus:
+                for y, mu, u in ys:
                     if u > room:
                         skipped = True
                     else:
                         sums.setdefault(x + y, lam + mu)
-        pos_paired += pos_fresh
-        neg_paired += neg_fresh
-        pos_fresh = []
-        neg_fresh = []
+        p0, m0 = len(plus), len(minus)
         # smallest first: nothing met later lies below a sum that joined
         for z in sorted(sums):
             if z & guards:
                 return None
             lam = sums[z]
-            side, fresh = (neg, neg_fresh) if lam < 0 else (pos, pos_fresh)
+            side, pairing = (neg, minus) if lam < 0 else (pos, plus)
             full = z | abs(lam) << shift
             high = full | guards
             for y in side:
@@ -232,7 +227,7 @@ def _cut(
             else:
                 side.append(full)
                 if lam:
-                    fresh.append((z, lam, z >> t_at & mask))
+                    pairing.append((z, lam, z >> t_at & mask))
                 else:
                     neg.append(z)
         ends.append(len(pos))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -699,6 +700,39 @@ def test_calls_in_one_process_match_fresh_processes(
         out, err = capsys.readouterr()
         proc = coveralg_process(*argv, COLUMNS="80")
         assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
+# Spans of the benchmark's tracer that per-layer metrics read. The tracer
+# reports a target it cannot resolve as absent, so a rename would zero its
+# metric with no error.
+LIVE_SPANS = [
+    "cli.main",
+    "algebra.generators",
+    "algebra.compare_powers",
+    "cone.hilbert_basis",
+    "complexes.cover_complex",
+    "monomial.MonomialIdeal.intersect",
+]
+
+
+def test_live_tracer_spans_resolve():
+    tracing = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracing.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) == "TARGETS"
+    )
+    traced = {f"{module}.{path}" for module, path, _ in targets}
+    unresolved = []
+    for name in LIVE_SPANS:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"coveralg.{module}")
+        for part in path:
+            obj = getattr(obj, part, None)
+        if name not in traced or not callable(obj):
+            unresolved.append(name)
+    assert unresolved == []
 
 
 # argv, and whether the call loads coveralg.graphs
