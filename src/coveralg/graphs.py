@@ -48,46 +48,35 @@ def bipartition(complex_: WeightedComplex) -> Bipartition:
     adj = neighbors(complex_)
     color = [-1] * n
     parent = [-1] * n
-    depth = [0] * n
     for root in range(n):
         if color[root] != -1:
             continue
         color[root] = 0
         queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in sorted(adj[u]):
-                    if color[v] == -1:
-                        color[v] = 1 - color[u]
-                        parent[v] = u
-                        depth[v] = depth[u] + 1
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return Bipartition(None, _tree_cycle(parent, depth, u, v))
-            queue = nxt
+        for u in queue:  # grows as it is read: first in, first out
+            for v in sorted(adj[u]):
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    parent[v] = u
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return Bipartition(None, _tree_cycle(parent, u, v))
     u_part = frozenset(i for i in range(n) if color[i] == 0)
     v_part = frozenset(i for i in range(n) if color[i] == 1)
     return Bipartition((u_part, v_part), None)
 
 
-def _tree_cycle(
-    parent: Sequence[int], depth: Sequence[int], u: int, v: int
-) -> tuple[int, ...]:
-    # Walk both endpoints of the offending edge up to their BFS ancestor.
+def _tree_cycle(parent: Sequence[int], u: int, v: int) -> tuple[int, ...]:
+    # Same color means depths of equal parity, and the ends of an edge lie
+    # at most one BFS layer apart: u and v share a layer, so walks in step
+    # meet at their lowest common ancestor.
     path_u, path_v = [u], [v]
-    uu, vv = u, v
-    while depth[uu] > depth[vv]:
-        uu = parent[uu]
-        path_u.append(uu)
-    while depth[vv] > depth[uu]:
-        vv = parent[vv]
-        path_v.append(vv)
-    while uu != vv:
-        uu = parent[uu]
-        vv = parent[vv]
-        path_u.append(uu)
-        path_v.append(vv)
+    while u != v:
+        u, v = parent[u], parent[v]
+        if u < 0 or v < 0:
+            raise InternalError(f"odd-cycle walk from {path_u[0] + 1} passed a root")
+        path_u.append(u)
+        path_v.append(v)
     cycle = path_u + path_v[-2::-1]
     if len(cycle) % 2 != 1:
         raise InternalError(

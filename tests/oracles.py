@@ -26,7 +26,7 @@ from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 from coveralg.algebra import squarefree_symbolic_power
-from coveralg.complexes import CoverPoint, WeightedComplex, is_cover
+from coveralg.complexes import CoverPoint, WeightedComplex
 from coveralg.cone import ConeSystem
 from coveralg.errors import DimensionMismatch
 from coveralg.graphs import Decomposition, neighbors
@@ -274,12 +274,18 @@ def box_decompose(
     if k < 2:
         raise ValueError(f"decomposition needs order k >= 2, got {k}")
     av = tuple(int(x) for x in a)
-    if not is_cover(complex_, av, k):
-        raise ValueError(f"{av} is not a cover of order {k}")
-
     n = complex_.n
+    if len(av) != n:
+        raise DimensionMismatch(
+            f"vector of length {len(av)} for complex on {n} vertices"
+        )
     facets = [tuple(sorted(f)) for f in complex_.facets]
     weights = complex_.weights
+    # checked on the oracle's own facet sums, independent of is_cover
+    a_sums = [sum(av[v] for v in f) for f in facets]
+    if min(av, default=0) < 0 or any(s < k * w for s, w in zip(a_sums, weights)):
+        raise ValueError(f"{av} is not a cover of order {k}")
+
     by_vertex: list[list[int]] = [[] for _ in range(n)]
     for fi, f in enumerate(facets):
         for v in f:
@@ -297,7 +303,6 @@ def box_decompose(
                 best = o
         return best
 
-    a_sums = [sum(av[v] for v in f) for f in facets]
     while True:
         ob = orders(sums)
         oc = orders([sa - sb for sa, sb in zip(a_sums, sums)])

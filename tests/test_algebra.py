@@ -407,6 +407,11 @@ class TestComparePowers:
         with pytest.raises(ValueError, match=f"power must be an integer, got {bad!r}"):
             algebra.compare_powers(face_ideal(3, cycle(3)), bad)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_order_below_one_is_refused(self, k):
+        with pytest.raises(ValueError, match=f"power must be >= 1, got {k}"):
+            algebra.compare_powers(face_ideal(3, cycle(3)), k)
+
     def test_odd_cycle_witness_is_all_variables(self):
         # C_(2m+1) needs m + 1 of its vertices in every vertex cover
         for n in (5, 7, 9):
@@ -436,6 +441,14 @@ def test_symbolic_power_order_is_not_coerced(bad):
         ValueError, match=f"symbolic power order must be an integer, got {bad!r}"
     ):
         algebra.squarefree_symbolic_power(face_ideal(3, cycle(3)), bad)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_symbolic_power_order_below_one_is_refused(k):
+    with pytest.raises(
+        ValueError, match=f"symbolic power order must be >= 1, got {k}"
+    ):
+        algebra.squarefree_symbolic_power(face_ideal(3, cycle(3)), k)
 
 
 @pytest.mark.parametrize("bad", [1.5, True])

@@ -657,6 +657,49 @@ def test_malformed_file_exits_2_naming_the_field(
     assert err.startswith("error: ") and field in err
 
 
+REFUSAL_FILES = {
+    "IDEAL": TRIANGLE_IDEAL,
+    "TRIANGLE": TRIANGLE,
+    "NEGATIVE_EXPONENT": {"n": 2, "gens": [[1, -1]]},
+    "NO_VARIABLES": {"n": 0, "gens": []},
+    "NEGATIVE_VERTICES": {"n": -1, "facets": []},
+}
+
+# one row per refusal: the argv, with file names as REFUSAL_FILES keys, and
+# the message that exit 2 carries on stderr
+REFUSALS = [
+    (["symbolic", "IDEAL", "-n", "0"], "symbolic power order must be >= 1, got 0"),
+    (["compare", "IDEAL", "-n", "0"], "power must be >= 1, got 0"),
+    (["power", "NEGATIVE_EXPONENT", "-n", "2"], "negative exponent in (1, -1)"),
+    (["power", "IDEAL", "-n", "-1"], "power exponent must be >= 0, got -1"),
+    (
+        ["symbolic", "IDEAL", "-n", "0", "--wrt", "IDEAL"],
+        "symbolic power order must be >= 1, got 0",
+    ),
+    (["power", "NO_VARIABLES", "-n", "1"], "variable count must be >= 1, got 0"),
+    (["basis", "NEGATIVE_VERTICES"], "vertex count must be >= 0, got -1"),
+    (["basis"], "either a complex file or --family M K is required"),
+    (["decompose", "TRIANGLE"], "--cover 'a1,...,an;k' is required"),
+    (
+        ["decompose", "TRIANGLE", "--cover", "1,1,1;1"],
+        "decomposition needs order k >= 2, got 1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", REFUSALS, ids=[" ".join(argv) for argv, _ in REFUSALS]
+)
+def test_refusal_exits_2_with_its_message(capsys, tmp_path, argv, message):
+    paths = {}
+    for name, data in REFUSAL_FILES.items():
+        paths[name] = tmp_path / f"{name.lower()}.json"
+        paths[name].write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_process_exit_codes(tmp_path, triangle_file):
     # `python -m coveralg.cli`: main's return value is the process status
     proc = coveralg_process("bound", "3", "--json")

@@ -12,7 +12,7 @@ from coveralg.complexes import (
     CoverPoint, WeightedComplex, cover_complex, is_cover,
 )
 from coveralg.cone import build_cone, hilbert_basis
-from coveralg.errors import InvalidComplex, NotAGraph
+from coveralg.errors import InternalError, InvalidComplex, NotAGraph
 from coveralg.graphs import (
     Decomposition, bipartition, decompose, family_instance, neighbors, split,
 )
@@ -86,9 +86,21 @@ class TestBipartition:
         assert bip.parts == (frozenset({0, 1, 2}), frozenset())
 
     def test_random_odd_cycles_are_genuine(self):
+        # every graph on 1 to 5 vertices, then random ones on up to 8
         rng = random.Random(7)
-        for _ in range(40):
-            g = random_graph(rng, rng.randint(2, 8))
+        exhaustive = [
+            graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for n in range(1, 6)
+            for pairs in [list(combinations(range(n), 2))]
+            for mask in range(1 << len(pairs))
+        ]
+        assert len(exhaustive) == 1099
+        randoms = [random_graph(rng, rng.randint(2, 8)) for _ in range(40)]
+        # an edge and a path before a triangle: its BFS starts at a later root
+        later = graph(7, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+        assert bipartition(later).odd_cycle == (5, 4, 6)
+        odd = 0  # among the exhaustive graphs
+        for i, g in enumerate(exhaustive + randoms + [later]):
             bip = bipartition(g)
             if bip.is_bipartite:
                 u, v = bip.parts
@@ -96,10 +108,22 @@ class TestBipartition:
                     a, b = sorted(e)
                     assert (a in u) != (b in u)
             else:
+                odd += i < len(exhaustive)
                 cyc = bip.odd_cycle
                 assert len(cyc) % 2 == 1 and len(cyc) >= 3
                 assert len(set(cyc)) == len(cyc)
                 assert all_edges_checked(g, cyc)
+        assert odd == 672
+
+    @pytest.mark.parametrize("parent, u, v", [
+        ([-1, -1], 0, 1),  # two roots
+        ([-1, 0, 1], 2, 0),  # v reaches its root first
+        ([-1, 0, 1], 0, 2),  # u does
+    ])
+    def test_walk_past_a_root_is_an_internal_error(self, parent, u, v):
+        # parent -1 marks a root; reading parent[-1] would walk on silently
+        with pytest.raises(InternalError, match="passed a root"):
+            graphs._tree_cycle(parent, u, v)
 
 
 def parts_of(*pairs):
