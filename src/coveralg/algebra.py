@@ -38,17 +38,17 @@ def generators(
 
     They are the positive-degree Hilbert basis points. The algebra of a
     graph with unit weights is generated in degree <= 2 (Herzog, Hibi and
-    Trung, Adv. Math. 210 (2007)), so there a cap of 2 or more cuts
-    nothing off and the presentation is not truncated.
+    Trung, Adv. Math. 210 (2007)), so there the completion runs at cap 2
+    when the caller's cap is None or above 2, and the presentation is not
+    truncated; a cap below 2 keeps its flag.
     """
-    basis = hilbert_basis(build_cone(complex_), degree_cap)
+    graph = complex_.non_edge is None and complex_.has_canonical_weights
+    whole = graph and (degree_cap is None or checked_int(degree_cap, "degree cap") >= 2)
+    basis = hilbert_basis(build_cone(complex_), 2 if whole else degree_cap)
     gens = tuple(
         CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0
     )
-    truncated = basis.truncated and not (
-        degree_cap >= 2 and complex_.non_edge is None and complex_.has_canonical_weights
-    )
-    return AlgebraPresentation(complex_, gens, truncated)
+    return AlgebraPresentation(complex_, gens, basis.truncated and not whole)
 
 
 def max_degree(presentation: AlgebraPresentation) -> int:

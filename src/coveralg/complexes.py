@@ -142,8 +142,12 @@ def cover_complex(ideal: MonomialIdeal) -> WeightedComplex:
 
     Covers are packed 0/1 vectors (`Packing(n, 1)`): meeting F is one `&`
     with F's field mask, adding a vertex one int addition, and one
-    `Packing.minimal` pass per support keeps the antichain.
+    `Packing.minimal` pass per support keeps the antichain. That antichain
+    is the complex, so it is built directly, without the pairwise check of
+    `WeightedComplex.validate`.
     """
+    if ideal.is_zero:
+        raise InvalidComplex("empty facet")
     supports = {frozenset(i for i, e in enumerate(g) if e) for g in ideal.gens}
     packing = Packing(ideal.n, 1)
     degree_one = 1 << packing.degree_at
@@ -155,8 +159,11 @@ def cover_complex(ideal: MonomialIdeal) -> WeightedComplex:
             [c for c in covers if c & field]
             + [c + b + degree_one for c in covers if not c & field for b in bits]
         )
-    primes = [[v for v, x in enumerate(packing.unpack(c)) if x] for c in covers]
-    return WeightedComplex.validate(ideal.n, primes)
+    primes = sorted(
+        (frozenset(v for v, x in enumerate(packing.unpack(c)) if x) for c in covers),
+        key=_facet_key,
+    )
+    return WeightedComplex(ideal.n, tuple(primes), (1,) * len(primes))
 
 
 def skeleton_generators(n: int, j: int) -> tuple[CoverPoint, ...]:

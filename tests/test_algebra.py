@@ -8,6 +8,7 @@ import pytest
 import oracles
 from coveralg import algebra
 from coveralg.complexes import CoverPoint, WeightedComplex, skeleton_generators
+from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InvalidComplex, TruncatedPresentation
 from coveralg.graphs import bipartition
 from coveralg.monomial import MonomialIdeal
@@ -103,27 +104,57 @@ def petersen():
 
 
 class TestUnitWeightGraphCap:
-    # a graph with unit weights has its algebra generated in degree <= 2
-    def test_cap_two_or_more_gives_the_whole_basis(self):
+    # a graph with unit weights has its algebra generated in degree <= 2;
+    # generators relies on that and runs such a graph at cap 2, so the
+    # theorem itself is checked on the uncapped engine
+    @pytest.fixture
+    def caps(self, monkeypatch):
+        """The degree caps `generators` passes to the engine, in call order."""
+        seen = []
+
+        def spy(system, degree_cap=None):
+            seen.append(degree_cap)
+            return hilbert_basis(system, degree_cap)
+
+        monkeypatch.setattr(algebra, "hilbert_basis", spy)
+        return seen
+
+    def test_cap_two_or_more_gives_the_whole_basis(self, caps):
         rng = random.Random(17)
-        complexes = [petersen()]
-        while len(complexes) < 10:
+        complexes = [petersen(), WeightedComplex.validate(0, []),
+                     WeightedComplex.validate(3, [])]
+        while len(complexes) < 12:
             n = rng.randint(3, 9)
             edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
             if edges:
                 complexes.append(WeightedComplex.validate(n, edges))
         for c in complexes:
-            whole = algebra.generators(c).generators
-            for cap in (2, 3):
-                capped = algebra.generators(c, cap)
-                assert capped.generators == whole
-                assert not capped.truncated
+            basis = hilbert_basis(build_cone(c))
+            assert not basis.truncated
+            assert max(p[-1] for p in basis.points) <= 2
+            whole = tuple(CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1])
+            for cap in (None, 2, 3, 50):
+                caps.clear()
+                pres = algebra.generators(c, cap)
+                assert caps == [2], (c, cap)
+                assert pres.generators == whole
+                assert not pres.truncated
 
     def test_cap_one_still_flags(self):
         c5 = WeightedComplex.validate(5, [(i, (i + 1) % 5) for i in range(5)])
         pres = algebra.generators(c5, 1)
         assert pres.truncated
-        assert max(g.k for g in algebra.generators(c5).generators) == 2
+        assert max(g.k for g in pres.generators) == 1
+        assert max(p[-1] for p in hilbert_basis(build_cone(c5)).points) == 2
+
+    def test_other_complexes_keep_the_callers_cap(self, caps):
+        # weights above 1, or a facet that is no edge: no degree-2 theorem
+        for c in (veronese(triangle(), 3), skeleton(5, 2),
+                  WeightedComplex.validate(3, [(0,), (1, 2)])):
+            for cap in (None, 1, 2, 3):
+                caps.clear()
+                algebra.generators(c, cap)
+                assert caps == [cap], (c, cap)
 
 
 class TestMaxDegree:
@@ -451,7 +482,7 @@ def test_symbolic_power_order_below_one_is_refused(k):
         algebra.squarefree_symbolic_power(face_ideal(3, cycle(3)), k)
 
 
-@pytest.mark.parametrize("bad", [1.5, True])
+@pytest.mark.parametrize("bad", [1.5, True, 2.5])
 def test_generators_cap_is_not_coerced(bad):
     with pytest.raises(ValueError, match=f"degree cap must be an integer, got {bad!r}"):
         algebra.generators(triangle(), bad)

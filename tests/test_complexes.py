@@ -357,6 +357,8 @@ class TestFacetAndCoverComplex:
             supports = [[i for i, e in enumerate(g) if e] for g in ideal.gens]
             got = cover_complex(ideal)
             assert set(got.facets) == oracles.minimal_hitting_sets(n, supports)
+            # built without validate, but in its canonical form
+            assert got == WeightedComplex.validate(n, got.facets)
             radical = MonomialIdeal.from_gens(
                 n, [tuple(min(e, 1) for e in g) for g in ideal.gens]
             )

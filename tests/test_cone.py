@@ -14,11 +14,13 @@ from coveralg.cone import (
     _cut,
     _pack,
     _row_values,
+    _unpack,
     build_cone,
     hilbert_basis,
 )
 from coveralg.errors import DimensionMismatch
 from coveralg.graphs import family_instance
+from coveralg.monomial import guard_bits
 from oracles import (
     DegenerateCone,
     SimplicialSubcone,
@@ -569,6 +571,83 @@ class TestHilbertBasis:
             (200, 0, 1, 1),
             (200, 1, 0, 1),
         )
+
+    def test_lam_zero_elements_off_the_unit_vectors_match_primal_oracle(self):
+        # negative coefficients put sums of units into C's basis, so the
+        # elements of lam = 0 that screen the pair sums of a cut are not
+        # all unit vectors; a row with no zero coefficient may leave none
+        rng = random.Random(181)
+        off_unit = none = done = 0
+        while done < 60:
+            dim = rng.randint(3, 4)
+            rows = tuple(
+                tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(1, 3))
+            )
+            system = ConeSystem(dim, rows)
+            try:
+                want = primal_hilbert_basis(system)
+            except DegenerateCone:
+                continue
+            assert hilbert_basis(system) == HilbertBasis(dim, want, False), rows
+            for cap in range(want[-1][-1] + 2):
+                capped = hilbert_basis(system, cap)
+                assert capped.points == tuple(p for p in want if p[-1] <= cap)
+                assert capped.truncated or capped.points == want, (rows, cap)
+            # C's basis at each cut is the basis of the rows before it
+            for i, row in enumerate(rows):
+                before = hilbert_basis(ConeSystem(dim, rows[:i])).points
+                zero = [p for p in before if not dot(row, p)]
+                off_unit += any(sum(p) > 1 for p in zero)
+                none += not zero
+            done += 1
+        assert off_unit >= 10 and none >= 10, (off_unit, none)
+
+    def test_guard_bit_sum_below_a_lam_zero_element_needs_no_widening(self):
+        # C = {y <= 2x, x <= 2y} has the basis (1, 1), (1, 2), (2, 1), and
+        # 40x + 40y >= 0 only adds a slack field holding 80, 120 and 120.
+        # The cut by x - y >= 0 forms one pair sum, (2, 1) + (1, 2), which
+        # carries 240 into that field, past the 127 it holds at 8 bits; but
+        # (1, 1), of lam 0, lies below it with 160 to spare, so the sum is
+        # rejected before the guard test and the cut ends at 8 bits
+        rows = ((2, -1), (-1, 2), (40, 40), (1, -1))
+        system = ConeSystem(2, rows)
+        want = primal_hilbert_basis(system)
+        assert want == ((1, 1), (2, 1))
+        assert hilbert_basis(system) == HilbertBasis(2, want, False)
+        for cap in range(3):
+            capped = hilbert_basis(system, cap)
+            assert capped.points == tuple(p for p in want if p[-1] <= cap)
+            assert capped.truncated or capped.points == want
+        before = hilbert_basis(ConeSystem(2, rows[:3])).points
+        assert before == ((1, 1), (2, 1), (1, 2))
+        basis = [_pack([*p, *(dot(r, p) for r in rows[:3])], 8) for p in before]
+        assert (basis[1] + basis[2]) & guard_bits(5, 8)
+        kept, skipped = _cut(basis, rows[3], None, 5, 8)
+        assert sorted(_unpack(x, 6, 8) for x in kept) == [
+            [1, 1, 1, 1, 80, 0],
+            [2, 1, 3, 0, 120, 1],
+        ]
+        assert not skipped
+
+    def test_cut_without_lam_zero_elements(self):
+        # every start element has lam != 0, so no element screens the pair
+        # sums, and the start value of the last reducer must reject none:
+        # 70 y >= 0 then 3 x <= 2 y, whose sum (1, 2) carries 140 into the
+        # slack field of 70 y, must still overflow at 8 bits
+        units = [_pack([1, 0, 0], 8), _pack([0, 1, 70], 8)]
+        assert _cut(units, (-3, 2), None, 3, 8) is None
+        wide = [_pack(_unpack(x, 3, 8), 16) for x in units]
+        kept, skipped = _cut(wide, (-3, 2), None, 3, 16)
+        assert sorted(_unpack(x, 4, 16)[:2] for x in kept) == [[0, 1], [1, 2], [2, 3]]
+        assert not skipped
+        for rows in (((-3, 2),), ((1, 1, -2),), ((2, -3, 1), (-1, 2, -1))):
+            system = ConeSystem(len(rows[0]), rows)
+            want = primal_hilbert_basis(system)
+            assert hilbert_basis(system) == HilbertBasis(system.dim, want, False)
+            for cap in range(want[-1][-1] + 1):
+                capped = hilbert_basis(system, cap)
+                assert capped.points == tuple(p for p in want if p[-1] <= cap)
 
     def test_row_values_are_the_dot_products(self):
         # digit sums over packed fields equal row . x, for rows with
