@@ -9,13 +9,12 @@ squared-integer comparators so every verdict is exact.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import compress
 from math import isqrt
 from operator import or_
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .complexes import CoverPoint, WeightedComplex, cover_complex
-from .cone import build_cone, hilbert_basis
+from .cone import build_cone, hilbert_basis, tight_points
 from .errors import InternalError, NonSquarefreeIdeal, TruncatedPresentation
 from .monomial import ExpVec, MonomialIdeal, Packing, checked_int
 
@@ -30,24 +29,27 @@ class AlgebraPresentation(NamedTuple):
         return self.complex.n
 
 
+def _completion_cap(
+    complex_: WeightedComplex, cap: int | None
+) -> tuple[int | None, bool]:
+    """The completion's cap, and whether it proves the basis whole: a graph
+    with unit weights has its algebra generated in degree <= 2 (Herzog, Hibi
+    and Trung, Adv. Math. 210 (2007)), so there a cap of None or above 2 is 2."""
+    graph = complex_.non_edge is None and complex_.has_canonical_weights
+    whole = graph and (cap is None or checked_int(cap, "degree cap") >= 2)
+    return 2 if whole else cap, whole
+
+
 def generators(
-    complex_: WeightedComplex,
-    degree_cap: int | None = None,
+    complex_: WeightedComplex, degree_cap: int | None = None
 ) -> AlgebraPresentation:
     """Minimal algebra generators, by degree and then coordinates.
 
-    They are the positive-degree Hilbert basis points. The algebra of a
-    graph with unit weights is generated in degree <= 2 (Herzog, Hibi and
-    Trung, Adv. Math. 210 (2007)), so there the completion runs at cap 2
-    when the caller's cap is None or above 2, and the presentation is not
-    truncated; a cap below 2 keeps its flag.
+    They are the positive-degree Hilbert basis points at `_completion_cap`'s cap.
     """
-    graph = complex_.non_edge is None and complex_.has_canonical_weights
-    whole = graph and (degree_cap is None or checked_int(degree_cap, "degree cap") >= 2)
-    basis = hilbert_basis(build_cone(complex_), 2 if whole else degree_cap)
-    gens = tuple(
-        CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0
-    )
+    cap, whole = _completion_cap(complex_, degree_cap)
+    basis = hilbert_basis(build_cone(complex_), cap)
+    gens = tuple(CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0)
     return AlgebraPresentation(complex_, gens, basis.truncated and not whole)
 
 
@@ -95,11 +97,6 @@ def degree_limit(n: int) -> int:
     return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
 
-def _bits(flags: Iterable[object]) -> int:
-    """Bitmask with bit i set exactly where the i-th flag is true."""
-    return sum(1 << i for i, f in enumerate(flags) if f)
-
-
 def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     """k-th symbolic power of a squarefree ideal, read off a cover algebra."""
     return _symbolic_power(ideal, k)[0]
@@ -125,9 +122,10 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
     Such a sum a is a j-cover. It is minimal exactly when every vertex of
     its support lies in a prime P with a(P) = j, and since g.a(P) >= deg g
     and s(P) >= j - deg g, those tight primes are the ones tight for both
-    g and s. Each cover carries its tight primes and its support as
-    bitmasks, so the test takes a few integer operations per sum and no
-    antichain is formed.
+    g and s. A generator's tight primes are the cover-cone rows where its
+    slack is 0, read off the completion by `cone.tight_points`. Each cover
+    carries its tight primes and its support as bitmasks, so the test takes
+    a few integer operations per sum and no antichain is formed.
     """
     if checked_int(k, "symbolic power order") < 1:
         raise ValueError(f"symbolic power order must be >= 1, got {k}")
@@ -138,21 +136,20 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
     if ideal.is_zero or ideal.is_unit:
         return ideal, None
     cover = cover_complex(ideal)
-    primes = cover.facets
-    selectors = [[v in p for v in range(ideal.n)] for p in primes]
+    prime_masks = [sum(1 << v for v in p) for p in cover.facets]
     packing = Packing(ideal.n, k)  # a minimal j-cover has coordinates <= j
-    gens = []
-    for g in generators(cover, k).generators:
-        tight = _bits(sum(compress(g.a, s)) == g.k for s in selectors)
-        gens.append((packing.pack(g.a), g.k, tight, _bits(g.a)))
-    prime_masks = list(map(_bits, selectors))
+    points = tight_points(build_cone(cover), _completion_cap(cover, k)[0])
+    gens = [  # (packed a, degree, tight primes, support)
+        (packing.pack(a), deg, tight, sum(1 << v for v, e in enumerate(a) if e))
+        for (*a, deg), tight in points
+    ]
 
     @cache
     def reached(tight: int) -> int:  # the vertices the tight primes contain
         return reduce(or_, (m for i, m in enumerate(prime_masks) if tight >> i & 1), 0)
 
     # S_j: minimal j-cover -> (tight primes, support, index of last summand)
-    sums = [{0: ((1 << len(primes)) - 1, 0, 0)}]
+    sums = [{0: ((1 << len(prime_masks)) - 1, 0, 0)}]
     for j in range(1, k + 1):
         level: dict[int, tuple[int, int, int]] = {}
         for i, (a, deg, g_tight, g_support) in enumerate(gens):

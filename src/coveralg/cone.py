@@ -4,39 +4,23 @@ A cover is a vector in N^n, so a cover cone is the nonnegative orthant
 cut by one inequality row per facet. Its Hilbert basis is computed by
 Pottier's completion ("The Euclidean algorithm in dimension n", ISSAC
 1996), in the form Normaliz calls dual mode (Bruns and Ichim, J. Algebra
-324 (2010), §4): start from the unit vectors, which generate the
-orthant's lattice points, and cut by one facet row at a time, completing
-the basis of each cut by pair sums across the new hyperplane until no new
-element appears.
+324 (2010), §4): start from the unit vectors, the orthant's basis, and
+cut by one facet row at a time, completing the basis of each cut by pair
+sums across the new hyperplane until no new element appears (`_complete`).
 
-The completion holds each element as one Python int of fixed-width
-fields, lowest first: the n+1 point coordinates, one slack field for
-each row cut so far, and during a cut the element's |lam| on the new row
-(the packed exponent vectors of Bachmann and Schönemann, "Monomial
-representations for Gröbner bases computations", ISSAC 1998). The top
-bit of each field is a guard bit, zero in every stored element, so a
-pair sum is one int addition and a reducibility test one subtraction and
-one mask. A sum that reaches a guard bit, or a value too large for its
-field, makes the cut start over with every field twice as wide; no value
-is ever clipped, and the points are unpacked only at the end. Int order
-orders the sums, as it extends the order "lies below" (see `_cut`).
-
-A cut reads each element's value lam on its row by digit sums, one list
-pass per distinct coefficient (`_row_values`): masking out the fields of
-that coefficient and folding odd fields onto even ones leaves one field
-sum per double-width chunk, and the remainder modulo 2^(2*width) - 1 adds
-the chunks. That is exact while the row has fewer than 2^(width+1)
-coordinates; a longer row widens the fields too. The basis elements of
-lam = 0 go to one list, the others to a lam > 0 and a lam < 0 side.
-Each pair sum across the hyperplane is first tested against that list,
-which lies on both sides; on a cover cone most sums lie above one of
-its elements (82% on the benchmark's weighted complexes, 99% on
-skeleton(9,4)) and are never stored or sorted. A sum that survives is
-checked on one side: the one its sign of lam names, and the lam > 0 side
-when lam = 0, as only elements of lam = 0 can lie below such a sum, and
-the lam = 0 sums of the rounds join both sides.
-
-All arithmetic is on Python ints; no floating point enters any verdict.
+Each element is one Python int of fixed-width fields, lowest first: the
+n+1 point coordinates, then its slack on each row cut so far (the packed
+exponent vectors of Bachmann and Schönemann, "Monomial representations
+for Gröbner bases computations", ISSAC 1998). The top bit of each field
+is a guard bit, zero in every stored element, so a pair sum is one int
+addition and a reducibility test one subtraction and one mask; a field
+that overflows makes the cut start over with every field twice as wide,
+so no value is ever clipped. `_cut` reads lam on its row by digit sums,
+and tests each pair sum first against the elements of lam = 0, which lie
+below most sums. `hilbert_basis` unpacks the points, and `tight_points`
+each with the rows it lies on, read off its slack fields of value 0: for
+a symbolic power's generator g, the primes P with a(P) = deg g. All
+arithmetic is on Python ints; no floating point enters any verdict.
 """
 
 from __future__ import annotations
@@ -75,17 +59,17 @@ def build_cone(complex_: WeightedComplex) -> ConeSystem:
     colex and reverse lex.
     """
     n = complex_.n
-    rows = []
-    for f, w in zip(complex_.facets, complex_.weights):
-        row = [1 if i in f else 0 for i in range(n)]
-        row.append(-w)
-        rows.append(tuple(row))
-    return ConeSystem(n + 1, tuple(rows))
+    rows = tuple(
+        (*[1 if i in f else 0 for i in range(n)], -w)
+        for f, w in zip(complex_.facets, complex_.weights)
+    )
+    return ConeSystem(n + 1, rows)
 
 
 # Bits per field when a completion starts, its guard bit included; a cut
 # that overflows a field doubles the width of every field and starts over.
 _START_WIDTH = 8
+_DIGITS = bytes.maketrans(b"\0\x80", b"01")  # a mark's byte as a digit (`tight_points`)
 
 
 def _unpack(x: int, fields: int, width: int) -> list[int]:
@@ -97,9 +81,7 @@ def _pack(values: Sequence[int], width: int) -> int:
     return sum(v << (i * width) for i, v in enumerate(values))
 
 
-def _row_values(
-    basis: list[int], row: Sequence[int], width: int
-) -> list[int] | None:
+def _row_values(basis: list[int], row: Sequence[int], width: int) -> list[int] | None:
     """lam = row . x of each packed x of basis, by digit sums.
 
     The coordinates that share a coefficient c form one group, with a
@@ -133,11 +115,7 @@ def _row_values(
 
 
 def _cut(
-    basis: list[int],
-    row: Sequence[int],
-    cap: int | None,
-    fields: int,
-    width: int,
+    basis: list[int], row: Sequence[int], cap: int | None, fields: int, width: int
 ) -> tuple[list[int], bool] | None:
     """Hilbert basis of C ∩ {row >= 0} from the Hilbert basis of C.
 
@@ -282,37 +260,62 @@ def _cut(
     return kept, skipped
 
 
-def hilbert_basis(
-    system: ConeSystem,
-    degree_cap: int | None = None,
-) -> HilbertBasis:
-    """Unique minimal generating set of the monoid of lattice points.
-
-    The completion starts from the unit vectors, the orthant's basis, and
-    cuts by each row in turn (see `_cut`). All basis points are returned,
-    the degree-0 units included, sorted by degree then coordinates. A
-    degree cap keeps exactly the points up to it and forms no pair sum
-    above it; truncated says it dropped a sum or a point, so False proves
-    the basis whole.
-    """
-    if degree_cap is not None and checked_int(degree_cap, "degree cap") < 0:
-        raise ValueError(f"degree cap must be >= 0, got {degree_cap}")
-    d = system.dim
+def _complete(system: ConeSystem, cap: int | None) -> tuple[list[int], int, int, bool]:
+    """The packed basis, its field count and width, and the truncated flag:
+    the unit vectors cut by each row in turn, each field widened and the cut
+    redone on an overflow (`_cut`). Field i < dim holds coordinate i, and
+    field dim + r the slack on rows[r]."""
+    if cap is not None and checked_int(cap, "degree cap") < 0:
+        raise ValueError(f"degree cap must be >= 0, got {cap}")
     width = _START_WIDTH
-    basis = [1 << i * width for i in range(d)]
-    fields = d
+    basis = [1 << i * width for i in range(system.dim)]
+    fields = system.dim
     truncated = False
     for row in system.rows:
-        while (cut := _cut(basis, row, degree_cap, fields, width)) is None:
+        while (cut := _cut(basis, row, cap, fields, width)) is None:
             basis = [_pack(_unpack(x, fields, width), 2 * width) for x in basis]
             width *= 2
         basis, skipped = cut
         truncated |= skipped
         fields += 1
+    return basis, fields, width, truncated
+
+
+def hilbert_basis(system: ConeSystem, degree_cap: int | None = None) -> HilbertBasis:
+    """Unique minimal generating set of the monoid of lattice points.
+
+    All basis points of `_complete` are returned, the degree-0 units
+    included, sorted by degree then coordinates. A degree cap keeps exactly
+    the points up to it and forms no pair sum above it; truncated says it
+    dropped a sum or a point, so False proves the basis whole.
+    """
+    basis, _, width, truncated = _complete(system, degree_cap)
+    d = system.dim
     points = [_unpack(x, d, width) for x in basis]
     if degree_cap is not None:
         points = [p for p in points if p[-1] <= degree_cap]
     points.sort(key=lambda p: (p[-1], p))
-    return HilbertBasis(
-        d, tuple(map(tuple, points)), truncated or len(points) < len(basis)
-    )
+    truncated |= len(points) < len(basis)
+    return HilbertBasis(d, tuple(map(tuple, points)), truncated)
+
+
+def tight_points(system: ConeSystem, degree_cap: int) -> list[tuple[LatticePoint, int]]:
+    """The basis points of degree 1 to the cap, as `hilbert_basis` sorts
+    them, each with a mask whose bit r is set iff rows[r] . p == 0.
+
+    Those are p's zero slack fields. With s the slack part, H its guard
+    mask and L = H >> (w - 1), (s | H) - L borrows the guard bit from just
+    those fields, so ~((s | H) - L) & H marks each in its field's top byte:
+    every (w/8)-th byte, big-endian, as 8 divides w."""
+    basis, fields, width, _ = _complete(system, degree_cap)
+    d = system.dim
+    guards = guard_bits(fields - d, width)
+    low = guards >> width - 1
+    points = []
+    for x in basis:
+        p = tuple(_unpack(x, d, width))
+        if 0 < p[-1] <= degree_cap:
+            marks = ~((x >> d * width | guards) - low) & guards
+            digits = marks.to_bytes((fields - d) * width // 8, "big")[:: width // 8]
+            points.append((p, int(digits.translate(_DIGITS) or b"0", 2)))
+    return sorted(points, key=lambda e: (e[0][-1], e[0]))

@@ -7,8 +7,10 @@ import pytest
 
 import oracles
 from coveralg import algebra
-from coveralg.complexes import CoverPoint, WeightedComplex, skeleton_generators
-from coveralg.cone import build_cone, hilbert_basis
+from coveralg.complexes import (
+    CoverPoint, WeightedComplex, cover_complex, skeleton_generators,
+)
+from coveralg.cone import build_cone, hilbert_basis, tight_points
 from coveralg.errors import InvalidComplex, TruncatedPresentation
 from coveralg.graphs import bipartition
 from coveralg.monomial import MonomialIdeal
@@ -523,3 +525,41 @@ class TestSymbolicPowerByCoverAlgebra:
                 assert algebra.squarefree_symbolic_power(
                     ideal, k
                 ) == oracles.symbolic_power_by_intersection(ideal, k)
+
+
+class TestSymbolicPowerOfGraphCoverIdeals:
+    # the minimal primes of a graph's cover ideal are its edges, so the
+    # symbolic route runs the completion at cap 2 from k = 2 on, by the same
+    # rule as generators (`algebra._completion_cap`)
+    def test_cap_two_matches_intersection_and_ordinary_power(self, monkeypatch):
+        caps = []
+
+        def spy(system, degree_cap):
+            caps.append(degree_cap)
+            return tight_points(system, degree_cap)
+
+        monkeypatch.setattr(algebra, "tight_points", spy)
+        rng = random.Random(227)
+        graphs = [(5, cycle(5)), (7, cycle(7)), (6, cycle(6)), (4, [(0, 1), (2, 3)])]
+        while len(graphs) < 24:
+            n = rng.randint(3, 7)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+            if edges:
+                graphs.append((n, edges))
+        witnesses = set()
+        for n, edges in graphs:
+            graph = WeightedComplex.validate(n, edges)
+            ideal = cover_ideal(graph)
+            assert cover_complex(ideal) == graph
+            for k in range(1, 5):
+                caps.clear()
+                sym, witness = algebra._symbolic_power(ideal, k)
+                assert caps == [min(k, 2)], (edges, k)
+                assert sym == oracles.symbolic_power_by_intersection(ideal, k)
+                expected = oracles.compare_by_ordinary_power(ideal, k)
+                assert (witness is None, witness) == expected, (edges, k)
+                witnesses.add(witness is None)
+            # an odd cycle makes I^(2) != I^2, and only a graph that has one
+            assert (oracles.compare_by_ordinary_power(ideal, 2)[0]
+                    == bipartition(graph).is_bipartite), edges
+        assert witnesses == {True, False}

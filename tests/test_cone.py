@@ -11,12 +11,14 @@ from coveralg.complexes import WeightedComplex, is_cover
 from coveralg.cone import (
     ConeSystem,
     HilbertBasis,
+    _complete,
     _cut,
     _pack,
     _row_values,
     _unpack,
     build_cone,
     hilbert_basis,
+    tight_points,
 )
 from coveralg.errors import DimensionMismatch
 from coveralg.graphs import family_instance
@@ -807,3 +809,53 @@ class TestHilbertBasis:
             above_degree_one += basis.points[-1][-1] >= 2
         # the draw must reach beyond standard graded algebras to test much
         assert above_degree_one >= 20
+
+
+class TestTightPoints:
+    # each point's mask against row . p == 0 for every row, by brute force;
+    # the points are those of hilbert_basis from degree 1 to the cap
+    @staticmethod
+    def check(system, cap):
+        got = tight_points(system, cap)
+        points = hilbert_basis(system, cap).points
+        assert [p for p, _ in got] == [p for p in points if p[-1]], (system, cap)
+        for p, mask in got:
+            want = sum(1 << r for r, row in enumerate(system.rows) if not dot(row, p))
+            assert mask == want, (system, cap, p)
+        return got
+
+    def test_masks_match_dot_products_on_random_systems(self):
+        rng = random.Random(193)
+        tight = loose = 0
+        for _ in range(150):
+            dim = rng.randint(2, 5)
+            rows = tuple(
+                tuple(rng.randint(-3, 3) for _ in range(dim))
+                for _ in range(rng.randint(1, 4))
+            )
+            for cap in (1, rng.randint(2, 4)):
+                for _, mask in self.check(ConeSystem(dim, rows), cap):
+                    tight += mask != 0
+                    loose += mask != (1 << len(rows)) - 1
+        assert tight >= 100 and loose >= 100, (tight, loose)
+
+    def test_masks_past_one_byte_of_rows_and_on_named_complexes(self):
+        # skeleton(6, 2) has 20 rows, so its masks run past one byte
+        for c in (triangle(), skeleton(6, 2), veronese(skeleton(5, 2), 3),
+                  family_instance(2, 2).complex):
+            got = self.check(build_cone(c), 3)
+            assert any(mask for _, mask in got)
+        # no rows: no slack fields, and every mask is empty
+        assert self.check(ConeSystem(2, ()), 1) == [((0, 1), 0)]
+
+    def test_masks_at_widened_fields(self):
+        # the fields widen to 16 bits (a weight of 200) and to 32 bits
+        # (40,000), so each mark is every second or every fourth byte
+        for system, width in ((build_cone(WEIGHT_200), 16),
+                              (ConeSystem(2, ((40000, -40000),)), 32)):
+            assert _complete(system, 3)[2] == width
+            got = self.check(system, 3)
+            assert got and all(mask for _, mask in got)
+        assert tight_points(build_cone(WEIGHT_200), 1) == [
+            ((200, 0, 1, 1), 0b11), ((200, 1, 0, 1), 0b11)
+        ]
