@@ -118,6 +118,9 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
     summands and are capped off. A cover keeps the first sum met, so by
     induction on j it holds the least last-summand index of all its sums.
     It lies in I^j iff that summand, and so every earlier one, has degree 1.
+    The generators come in degree order and each S_j is filled in
+    last-summand order, so the scans stop at the first generator above
+    degree j and at the first cover of S_(j - deg g) past g.
 
     Such a sum a is a j-cover. It is minimal exactly when every vertex of
     its support lies in a prime P with a(P) = j, and since g.a(P) >= deg g
@@ -146,7 +149,11 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
 
     @cache
     def reached(tight: int) -> int:  # the vertices the tight primes contain
-        return reduce(or_, (m for i, m in enumerate(prime_masks) if tight >> i & 1), 0)
+        vertices = 0
+        while tight:
+            vertices |= prime_masks[(tight & -tight).bit_length() - 1]
+            tight &= tight - 1
+        return vertices
 
     # S_j: minimal j-cover -> (tight primes, support, index of last summand)
     sums = [{0: ((1 << len(prime_masks)) - 1, 0, 0)}]
@@ -154,10 +161,10 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
         level: dict[int, tuple[int, int, int]] = {}
         for i, (a, deg, g_tight, g_support) in enumerate(gens):
             if deg > j:
-                continue
+                break
             for s, (s_tight, s_support, last) in sums[j - deg].items():
                 if last > i:
-                    continue
+                    break
                 tight = g_tight & s_tight
                 support = g_support | s_support
                 if not support & ~reached(tight):

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .complexes import WeightedComplex
-from .monomial import checked_int, guard_bits
+from .monomial import checked_int, field_codec, guard_bits
 
 LatticePoint = tuple[int, ...]
 
@@ -73,12 +73,11 @@ _DIGITS = bytes.maketrans(b"\0\x80", b"01")  # a mark's byte as a digit (`tight_
 
 
 def _unpack(x: int, fields: int, width: int) -> list[int]:
-    mask = (1 << width) - 1
-    return [x >> at & mask for at in range(0, fields * width, width)]
+    return list(field_codec(fields, width, "little")[1](x))
 
 
 def _pack(values: Sequence[int], width: int) -> int:
-    return sum(v << (i * width) for i, v in enumerate(values))
+    return field_codec(len(values), width, "little")[0](values)
 
 
 def _row_values(basis: list[int], row: Sequence[int], width: int) -> list[int] | None:
@@ -143,13 +142,14 @@ def _cut(
     side lies below it in slack and |lam|, and a lam = 0 sum that joins
     `pos` joins `neg` too. For such a sum `pos` alone settles it: only an
     element whose |lam| field is 0 can lie below it, and each one is in
-    `zero` or a lam = 0 sum of the rounds, on both sides. The sides only
-    grow, and the completion stops when a round adds nothing. The basis of
-    the cut is then `zero` and the minimal part of `pos`, the |lam| field
-    becoming the new row's slack. No sum of t-degree above the cap is
-    formed (the flag returned says if one was skipped); t only adds under
-    sums and nothing with a larger t reduces an element, so the points up
-    to the cap are exact.
+    `zero` or a lam = 0 sum of the rounds, on both sides; so the scan skips
+    C's elements on `pos`, `pos[:ends[0]]`, whose |lam| is at least 1. The
+    sides only grow, and the completion stops when a round adds nothing.
+    The basis of the cut is then `zero` and the minimal part of `pos`, the
+    |lam| field becoming the new row's slack. No sum of t-degree above the
+    cap is formed (the flag returned says if one was skipped); t only adds
+    under sums and nothing with a larger t reduces an element, so the points
+    up to the cap are exact.
 
     With every guard bit zero, y lies below x in every field exactly when
     ((x | H) - y) & H == H for the mask H of the guard bits: field by field
@@ -231,7 +231,7 @@ def _cut(
             side, pairing = (neg, minus) if lam < 0 else (pos, plus)
             full = z | abs(lam) << shift
             high = full | guards
-            for y in side:
+            for y in side if lam else pos[ends[0]:]:
                 if (high - y) & guards == guards:
                     break
             else:
@@ -291,12 +291,12 @@ def hilbert_basis(system: ConeSystem, degree_cap: int | None = None) -> HilbertB
     """
     basis, _, width, truncated = _complete(system, degree_cap)
     d = system.dim
-    points = [_unpack(x, d, width) for x in basis]
+    points = list(map(field_codec(d, width, "little")[1], basis))
     if degree_cap is not None:
         points = [p for p in points if p[-1] <= degree_cap]
     points.sort(key=lambda p: (p[-1], p))
     truncated |= len(points) < len(basis)
-    return HilbertBasis(d, tuple(map(tuple, points)), truncated)
+    return HilbertBasis(d, tuple(points), truncated)
 
 
 def tight_points(system: ConeSystem, degree_cap: int) -> list[tuple[LatticePoint, int]]:
@@ -311,9 +311,10 @@ def tight_points(system: ConeSystem, degree_cap: int) -> list[tuple[LatticePoint
     d = system.dim
     guards = guard_bits(fields - d, width)
     low = guards >> width - 1
+    read = field_codec(d, width, "little")[1]
     points = []
     for x in basis:
-        p = tuple(_unpack(x, d, width))
+        p = read(x)
         if 0 < p[-1] <= degree_cap:
             marks = ~((x >> d * width | guards) - low) & guards
             digits = marks.to_bytes((fields - d) * width // 8, "big")[:: width // 8]

@@ -13,15 +13,18 @@ v exactly when ((v | H) - g) & H == H for the guard bits H. The field
 width is fixed up front from the largest value the operation can make,
 k * max for a k-th power, so nothing widens or starts over; a sum that
 sets a guard bit is a bug and raises `InternalError`. The degree, the
-top field, needs no bound.
+top field, needs no bound. The width, guard bit included, is rounded up
+to 1, 2, 4 or 8 whole bytes, so a vector is read with one `to_bytes` and
+one `struct` call and written with one `from_bytes` (`field_codec`).
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain
 from operator import lshift
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from struct import Struct
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .errors import DimensionMismatch, InternalError, ZeroIdealColon
 
@@ -36,22 +39,39 @@ def guard_bits(fields: int, width: int) -> int:
     return ((1 << fields * width) - 1) // ((1 << width) - 1) << (width - 1)
 
 
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # struct's codes by field width
+
+
+@cache
+def field_codec(count: int, width: int, order: str) -> tuple[Callable, Callable]:
+    """Write and read the lowest `count` fields of `width` bits of an int, the
+    first value highest if order is "big": at 8, 16, 32 or 64 bits one `struct`
+    call and one `from_bytes` or `to_bytes`, past that a shift per field."""
+    if width in _FORMATS:
+        size = count * width // 8
+        low = (1 << 8 * size) - 1
+        fields = Struct(f"{'>' if order == 'big' else '<'}{count}{_FORMATS[width]}")
+        return (lambda v: int.from_bytes(fields.pack(*v), order),
+                lambda x: fields.unpack((x & low).to_bytes(size, order)))
+    shifts = range(0, count * width, width)[:: -1 if order == "big" else 1]
+    mask = (1 << width) - 1
+    return (lambda v: sum(map(lshift, v, shifts)),
+            lambda x: tuple(x >> at & mask for at in shifts))
+
+
 class Packing:
     """Exponent vectors of n variables as ints whose fields hold values <= top."""
 
     def __init__(self, n: int, top: int):
-        width = top.bit_length() + 1  # the values, then the guard bit
-        self.shifts = tuple(range((n - 1) * width, -1, -width))  # x1 highest
+        # the values, then the guard bit, in 1, 2, 4, 8, 16, ... whole bytes
+        width = 8 << (top.bit_length() // 8).bit_length()
+        self.shifts = range((n - 1) * width, -1, -width)  # x1 highest
         self.degree_at = n * width
         self.guards = guard_bits(n, width)
-        self.mask = (1 << width) - 1
+        self.write, self.unpack = field_codec(n, width, "big")
 
     def pack(self, v: ExpVec) -> int:
-        return sum(map(lshift, v, self.shifts), sum(v) << self.degree_at)
-
-    def unpack(self, x: int) -> ExpVec:
-        mask = self.mask
-        return tuple(x >> s & mask for s in self.shifts)
+        return self.write(v) + (sum(v) << self.degree_at)
 
     def minimal(self, packed: Iterable[int]) -> list[int]:
         """The distinct packed vectors above no other one, in (degree, lex) order.

@@ -527,6 +527,31 @@ class TestSymbolicPowerByCoverAlgebra:
                 ) == oracles.symbolic_power_by_intersection(ideal, k)
 
 
+class TestSymbolicPowerPastOneByteFields:
+    def test_one_edge_at_k_130(self):
+        # a minimal k-cover has coordinates up to k, so k >= 128 packs its
+        # covers in 2-byte fields
+        edge = MonomialIdeal.from_gens(2, [(1, 1)])
+        want = MonomialIdeal.from_gens(2, [(130, 130)])
+        assert algebra.squarefree_symbolic_power(edge, 130) == want
+        assert edge.power(130) == want
+        assert algebra.compare_powers(edge, 130) == (True, None)
+
+    def test_large_levels_match_intersection(self):
+        # levels of 100 covers or more, whose scans stop at the first cover
+        # past each generator, at k = 5 and 6
+        rng = random.Random(7)
+        done = {5: 0, 6: 0}
+        while min(done.values()) < 3:
+            n = rng.randint(6, 7)
+            faces = [rng.sample(range(n), rng.randint(2, 3)) for _ in range(rng.randint(4, 7))]
+            ideal, k = face_ideal(n, faces), rng.choice((5, 6))
+            sym = algebra.squarefree_symbolic_power(ideal, k)
+            if len(sym.gens) >= 100 and done[k] < 3:
+                assert sym == oracles.symbolic_power_by_intersection(ideal, k), faces
+                done[k] += 1
+
+
 class TestSymbolicPowerOfGraphCoverIdeals:
     # the minimal primes of a graph's cover ideal are its edges, so the
     # symbolic route runs the completion at cap 2 from k = 2 on, by the same

@@ -7,8 +7,10 @@ import re
 import pytest
 
 import oracles
-from coveralg.errors import DimensionMismatch, ZeroIdealColon
-from coveralg.monomial import MonomialIdeal, guard_bits, minimal_elements, monomial_str
+from coveralg.errors import DimensionMismatch, InternalError, ZeroIdealColon
+from coveralg.monomial import (
+    MonomialIdeal, Packing, guard_bits, minimal_elements, monomial_str,
+)
 
 
 def ideal(n, *gens):
@@ -99,6 +101,56 @@ class TestGuardBits:
             for width in range(1, 20):
                 tops = sum(1 << (i * width + width - 1) for i in range(fields))
                 assert guard_bits(fields, width) == tops, (fields, width)
+
+
+class TestPackingWidths:
+    # a field, guard bit included, takes 1, 2, 4 or 8 whole bytes, and past
+    # 64 bits a shift per field; the least and the largest top of each width
+    TOPS = {
+        8: (0, 127),
+        16: (128, 2**15 - 1),
+        32: (2**15, 2**31 - 1),
+        64: (2**31, 2**63 - 1),
+        128: (2**63, 2**127 - 1),
+    }
+
+    @pytest.mark.parametrize("width", TOPS)
+    def test_round_trip_and_degree_lex_order(self, width):
+        rng = random.Random(width)
+        for top in self.TOPS[width]:
+            for n in (1, 2, 5):
+                packing = Packing(n, top)
+                assert packing.guards == guard_bits(n, width)
+                values = [0, min(1, top), top // 2, max(top - 1, 0), top]
+                vectors = {
+                    tuple(rng.choice([*values, rng.randint(0, top)]) for _ in range(n))
+                    for _ in range(40)
+                }
+                packed = {packing.pack(v): v for v in vectors}
+                assert all(packing.unpack(x) == v for x, v in packed.items())
+                in_int_order = [packed[x] for x in sorted(packed)]
+                assert in_int_order == sorted(vectors, key=lambda v: (sum(v), v))
+
+    @pytest.mark.parametrize("width", TOPS)
+    def test_a_sum_past_the_field_raises(self, width):
+        top = self.TOPS[width][1]  # the field's largest value
+        packing = Packing(3, top)
+        for v in ((top, 0, 0), (0, top, 1), (1, 0, top)):
+            x = packing.pack(v)
+            assert packing.minimal([x]) == [x]
+            with pytest.raises(InternalError):
+                packing.minimal([x + x])
+
+    def test_exponents_past_64_bits(self):
+        big = 2**70
+        left = ideal(3, (big, 1, 0), (0, big + 1, 2), (big, big, 0), (3, 0, 5))
+        right = ideal(3, (1, big, 1), (big + 5, 0, 0), (3, 1, 5))
+        assert left.gens == ((3, 0, 5), (big, 1, 0), (0, big + 1, 2))
+        for a, b in ((left, right), (right, left)):
+            assert a.intersect(b).gens == oracles.intersect_by_joins(a, b)
+        square = ((6, 0, 10), (big + 3, 1, 5), (3, big + 1, 7), (2 * big, 2, 0),
+                  (big, big + 2, 2), (0, 2 * big + 2, 4))
+        assert left.power(2).gens == oracles.minimal_elements(square)
 
 
 class TestContains:

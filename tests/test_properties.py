@@ -197,9 +197,9 @@ def test_power_matches_repeated_products(pair, k):
 
 
 def test_a_sum_past_the_field_width_raises():
-    packing = Packing(3, 5)  # fields hold 0..7
-    v = packing.pack((0, 5, 0))
-    assert packing.unpack(packing.minimal([v])[0]) == (0, 5, 0)
+    packing = Packing(3, 100)  # 1-byte fields hold 0..127
+    v = packing.pack((0, 100, 0))
+    assert packing.unpack(packing.minimal([v])[0]) == (0, 100, 0)
     with pytest.raises(InternalError):
         packing.minimal([v + v])
 
