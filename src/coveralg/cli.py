@@ -4,9 +4,10 @@ Data goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 1 usage error, 2 invalid input, 3 the degree cap may have cut the output
 short, 4 internal error (a failed invariant: a bug, never bad input).
 Identical invocations on identical inputs produce byte-identical output.
-Each command returns its JSON record and its text lines, the lines as a
-lazy iterable, and `main` alone prints one of the two and picks the exit
-code, so `--json` formats no text.
+Each command returns its JSON record and its text lines, and `main`
+alone prints one of the two and picks the exit code. A command's few
+fixed lines are built with its record; lines per generator are a lazy
+iterable, so `--json` formats none of them.
 """
 
 from __future__ import annotations
@@ -158,15 +159,10 @@ def cmd_compare(args: argparse.Namespace) -> Output:
     k = args.order
     result = algebra.compare_powers(_load_ideal(args.ideal_file), k)
     witness = result.witness
-
-    def text() -> Iterator[str]:
-        yield f"power {k}: " + (
-            "symbolic equals ordinary" if result.equal
-            else f"symbolic strictly larger, witness {monomial_str(witness)}"
-        )
-
-    witness_a = list(witness) if witness else None
-    return {"k": k, "equal": result.equal, "witness": witness_a}, text()
+    record = {"k": k, "equal": result.equal, "witness": list(witness) if witness else None}
+    if result.equal:
+        return record, (f"power {k}: symbolic equals ordinary",)
+    return record, (f"power {k}: symbolic strictly larger, witness {monomial_str(witness)}",)
 
 
 def _check_bipartite(complex_: WeightedComplex) -> Output:
@@ -176,16 +172,10 @@ def _check_bipartite(complex_: WeightedComplex) -> Output:
     odd_cycle = None if bip.is_bipartite else [v + 1 for v in bip.odd_cycle]
     record = {"check": "bipartite", "verdict": bip.is_bipartite, "parts": parts,
               "odd_cycle": odd_cycle}
-
-    def text() -> Iterator[str]:
-        if parts is None:
-            yield "bipartite: false"
-            yield "odd cycle: " + " ".join(map(str, odd_cycle))
-        else:
-            yield "bipartite: true"
-            yield "parts: " + " ".join(f"{{{','.join(map(str, p))}}}" for p in parts)
-
-    return record, text()
+    if parts is None:
+        return record, ("bipartite: false", "odd cycle: " + " ".join(map(str, odd_cycle)))
+    return record, ("bipartite: true",
+                    "parts: " + " ".join(f"{{{','.join(map(str, p))}}}" for p in parts))
 
 
 def _check_standard(complex_: WeightedComplex) -> Output:
@@ -195,42 +185,31 @@ def _check_standard(complex_: WeightedComplex) -> Output:
     witness = None if verdict else pres.generators[-1]  # the last in degree order
     record = {"check": "standard", "verdict": verdict, "max_degree": d,
               "witness": None if witness is None else _point(witness)}
-
-    def text() -> Iterator[str]:
-        yield f"standard graded: {str(verdict).lower()}"
-        if witness is not None:
-            yield f"witness generator: {monomial_str(witness.a, witness.k)}"
-
-    return record, text()
+    lines = [f"standard graded: {str(verdict).lower()}"]
+    if witness is not None:
+        lines.append(f"witness generator: {monomial_str(witness.a, witness.k)}")
+    return record, lines
 
 
 def _check_gorenstein(complex_: WeightedComplex) -> Output:
     report = algebra.gorenstein_report(complex_)
-    record: dict = {"check": "gorenstein", "verdict": None, "stripped_facets": [],
-                    "offending_facets": []}
-    if report.verdict is None:
+    verdict = report.verdict
+    stripped = report.stripped if verdict is not None else ()  # listed with a verdict only
+    record = {"check": "gorenstein", "verdict": verdict,
+              "stripped_facets": [[v + 1] for v, _ in stripped],
+              "offending_facets": [{"facet": [v + 1 for v in f], "weight": w}
+                                   for f, w in report.offending]}
+    if verdict is None:
         return record, (
             "gorenstein: not applicable (needs a facet with at least two vertices)",
         )
-    record["verdict"] = report.verdict
-    record["stripped_facets"] = [[v + 1] for v, _ in report.stripped]
-    record["offending_facets"] = [
-        {"facet": [v + 1 for v in f], "weight": w} for f, w in report.offending
-    ]
-
-    def text() -> Iterator[str]:
-        yield f"gorenstein: {str(report.verdict).lower()}"
-        if report.stripped:
-            yield "stripped singleton facets: " + " ".join(
-                f"{{{v + 1}}}" for v, _ in report.stripped
-            )
-        for f, w in report.offending:
-            yield (
-                f"facet {{{','.join(str(v + 1) for v in f)}}} has weight {w}, "
-                f"needs {len(f) - 1}"
-            )
-
-    return record, text()
+    lines = [f"gorenstein: {str(verdict).lower()}"]
+    if stripped:
+        lines.append("stripped singleton facets: "
+                     + " ".join(f"{{{v + 1}}}" for v, _ in stripped))
+    lines += (f"facet {{{','.join(str(v + 1) for v in f)}}} has weight {w}, "
+              f"needs {len(f) - 1}" for f, w in report.offending)
+    return record, lines
 
 
 def _check_bound(complex_: WeightedComplex) -> Output:
@@ -239,16 +218,11 @@ def _check_bound(complex_: WeightedComplex) -> Output:
     verdict, limit = _bound(n, d)
     record = {"check": "bound", "verdict": verdict, "max_degree": d,
               "bound_limit": limit}
-
-    def text() -> Iterator[str]:
-        if verdict is None:
-            yield (f"max generator degree {d}; degree bound for n={n}: "
-                   "not applicable (needs n >= 1)")
-        else:
-            yield (f"max generator degree {d} within degree bound for n={n} "
-                   f"(limit {limit}): {str(verdict).lower()}")
-
-    return record, text()
+    if verdict is None:
+        return record, (f"max generator degree {d}; degree bound for n={n}: "
+                        "not applicable (needs n >= 1)",)
+    return record, (f"max generator degree {d} within degree bound for n={n} "
+                    f"(limit {limit}): {str(verdict).lower()}",)
 
 
 _CHECKS = {
@@ -276,13 +250,9 @@ def cmd_decompose(args: argparse.Namespace) -> Output:
     r = decompose(complex_, a, k)
     if r is None:
         return {"decomposable": False}, ("indecomposable",)
-
-    def text() -> Iterator[str]:
-        yield f"decomposable: {monomial_str(r.b, r.i)} + {monomial_str(r.c, r.j)}"
-
     record = {"decomposable": True, "b": list(r.b), "i": r.i, "c": list(r.c),
               "j": r.j}
-    return record, text()
+    return record, (f"decomposable: {monomial_str(r.b, r.i)} + {monomial_str(r.c, r.j)}",)
 
 
 def cmd_split(args: argparse.Namespace) -> Output:
@@ -311,12 +281,9 @@ def cmd_family(args: argparse.Namespace) -> Output:
 def cmd_bound(args: argparse.Namespace) -> Output:
     n = args.n
     limit = algebra.degree_limit(n)
-
-    def text() -> Iterator[str]:
-        yield (f"generator degrees for n={n} are provably <= {limit} "
-               "(d^2*4^n < (n+1)^(n+3))")
-
-    return {"n": n, "max_degree": limit}, text()
+    return {"n": n, "max_degree": limit}, (
+        f"generator degrees for n={n} are provably <= {limit} (d^2*4^n < (n+1)^(n+3))",
+    )
 
 
 def _add_family(parser: argparse.ArgumentParser) -> None:
@@ -343,21 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, help="stop at degree N; exit 3 if cut short")
     p.set_defaults(func=cmd_basis)
 
-    p = sub.add_parser("symbolic", help="symbolic power of a monomial ideal")
-    p.add_argument("ideal_file")
-    p.add_argument("-n", dest="order", type=int, required=True)
-    p.add_argument("--wrt", help="ideal file to saturate with respect to")
-    p.set_defaults(func=cmd_symbolic)
-
-    p = sub.add_parser("power", help="ordinary power of a monomial ideal")
-    p.add_argument("ideal_file")
-    p.add_argument("-n", dest="order", type=int, required=True)
-    p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("compare", help="symbolic versus ordinary power")
-    p.add_argument("ideal_file")
-    p.add_argument("-n", dest="order", type=int, required=True)
-    p.set_defaults(func=cmd_compare)
+    for name, func, help_ in (
+        ("symbolic", cmd_symbolic, "symbolic power of a monomial ideal"),
+        ("power", cmd_power, "ordinary power of a monomial ideal"),
+        ("compare", cmd_compare, "symbolic versus ordinary power"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("ideal_file")
+        p.add_argument("-n", dest="order", type=int, required=True)
+        p.set_defaults(func=func)
+    sub.choices["symbolic"].add_argument(
+        "--wrt", help="ideal file to saturate with respect to"
+    )
 
     p = sub.add_parser("check", help="predicates with witnesses")
     p.add_argument("complex_file")

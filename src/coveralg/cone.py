@@ -72,14 +72,6 @@ _START_WIDTH = 8
 _DIGITS = bytes.maketrans(b"\0\x80", b"01")  # a mark's byte as a digit (`tight_points`)
 
 
-def _unpack(x: int, fields: int, width: int) -> list[int]:
-    return list(field_codec(fields, width, "little")[1](x))
-
-
-def _pack(values: Sequence[int], width: int) -> int:
-    return field_codec(len(values), width, "little")[0](values)
-
-
 def _row_values(basis: list[int], row: Sequence[int], width: int) -> list[int] | None:
     """lam = row . x of each packed x of basis, by digit sums.
 
@@ -273,7 +265,9 @@ def _complete(system: ConeSystem, cap: int | None) -> tuple[list[int], int, int,
     truncated = False
     for row in system.rows:
         while (cut := _cut(basis, row, cap, fields, width)) is None:
-            basis = [_pack(_unpack(x, fields, width), 2 * width) for x in basis]
+            read = field_codec(fields, width, "little")[1]
+            write = field_codec(fields, 2 * width, "little")[0]
+            basis = [write(read(x)) for x in basis]
             width *= 2
         basis, skipped = cut
         truncated |= skipped

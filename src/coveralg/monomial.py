@@ -101,10 +101,6 @@ class Packing:
                 level.append(v)
         return lower + level
 
-    def product(self, left: list[int], right: list[int]) -> list[int]:
-        """The minimal elements among the sums of a left and a right vector."""
-        return self.minimal(f + g for f in left for g in right)
-
 
 def _top(vectors: Iterable[ExpVec]) -> int:
     return max(chain.from_iterable(vectors), default=0)
@@ -251,7 +247,7 @@ class MonomialIdeal(NamedTuple):
         result = [0]  # the unit ideal
         base = list(map(packing.pack, self.gens))
         for _ in range(k):
-            result = packing.product(result, base)
+            result = packing.minimal(f + g for f in result for g in base)
         return MonomialIdeal(self.n, tuple(map(packing.unpack, result)))
 
     def saturate(self, other: MonomialIdeal) -> MonomialIdeal:

@@ -700,6 +700,74 @@ def test_refusal_exits_2_with_its_message(capsys, tmp_path, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+TEXT_FILES = {
+    "IDEAL": TRIANGLE_IDEAL,
+    "TRIANGLE": TRIANGLE,
+    "SQUARE": SQUARE,
+    "PENTAGON": {"n": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]},
+    "EMPTY": {"n": 0, "facets": []},
+    "SINGLETONS": {"n": 2, "facets": [[1], [2]]},
+    "STRIPPED": {"n": 4, "facets": [[1], [2, 3], [3, 4]], "weights": [3, 1, 1]},
+    "OFFENDING": {"n": 5, "facets": [[1], [2, 3], [3, 4, 5]], "weights": [1, 2, 1]},
+}
+
+# one row per branch of the commands that build their few text lines in
+# place: the argv, with file names as TEXT_FILES keys, and the whole stdout
+TEXTS = [
+    (["check", "SQUARE", "bipartite"], "bipartite: true\nparts: {1,3} {2,4}\n"),
+    (["check", "PENTAGON", "bipartite"], "bipartite: false\nodd cycle: 3 2 1 5 4\n"),
+    (["check", "SQUARE", "standard"], "standard graded: true\n"),
+    (
+        ["check", "TRIANGLE", "standard"],
+        "standard graded: false\nwitness generator: x1*x2*x3*t^2\n",
+    ),
+    (
+        ["check", "SINGLETONS", "gorenstein"],
+        "gorenstein: not applicable (needs a facet with at least two vertices)\n",
+    ),
+    (
+        ["check", "STRIPPED", "gorenstein"],
+        "gorenstein: true\nstripped singleton facets: {1}\n",
+    ),
+    (
+        ["check", "OFFENDING", "gorenstein"],
+        "gorenstein: false\nstripped singleton facets: {1}\n"
+        "facet {2,3} has weight 2, needs 1\nfacet {3,4,5} has weight 1, needs 2\n",
+    ),
+    (
+        ["check", "EMPTY", "bound"],
+        "max generator degree 1; degree bound for n=0: not applicable (needs n >= 1)\n",
+    ),
+    (
+        ["check", "TRIANGLE", "bound"],
+        "max generator degree 2 within degree bound for n=3 (limit 7): true\n",
+    ),
+    (["compare", "IDEAL", "-n", "1"], "power 1: symbolic equals ordinary\n"),
+    (
+        ["compare", "IDEAL", "-n", "2"],
+        "power 2: symbolic strictly larger, witness x1*x2*x3\n",
+    ),
+    (
+        ["decompose", "SQUARE", "--cover", "2,2,2,2;2"],
+        "decomposable: x2*x4*t + x1^2*x2*x3^2*x4*t\n",
+    ),
+    (["decompose", "TRIANGLE", "--cover", "1,1,1;2"], "indecomposable\n"),
+    (
+        ["bound", "3"],
+        "generator degrees for n=3 are provably <= 7 (d^2*4^n < (n+1)^(n+3))\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, out", TEXTS, ids=[" ".join(argv) for argv, _ in TEXTS])
+def test_text_output_is_exact(capsys, tmp_path, argv, out):
+    paths = {}
+    for name, data in TEXT_FILES.items():
+        paths[name] = tmp_path / f"{name.lower()}.json"
+        paths[name].write_text(json.dumps(data), encoding="utf-8")
+    assert run(capsys, *(str(paths.get(a, a)) for a in argv)) == (0, out, "")
+
+
 def test_process_exit_codes(tmp_path, triangle_file):
     # `python -m coveralg.cli`: main's return value is the process status
     proc = coveralg_process("bound", "3", "--json")
@@ -846,4 +914,16 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["symbolic", "file.json"])  # no -n
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command, usage", [
+        ("symbolic", "usage: coveralg symbolic [-h] -n ORDER [--wrt WRT] [--json] ideal_file"),
+        ("power", "usage: coveralg power [-h] -n ORDER [--json] ideal_file"),
+        ("compare", "usage: coveralg compare [-h] -n ORDER [--json] ideal_file"),
+    ])
+    def test_ideal_command_usage(self, capsys, monkeypatch, command, usage):
+        monkeypatch.setenv("COLUMNS", "80")  # usage wraps at this width
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[0] == usage
 

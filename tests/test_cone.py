@@ -13,16 +13,14 @@ from coveralg.cone import (
     HilbertBasis,
     _complete,
     _cut,
-    _pack,
     _row_values,
-    _unpack,
     build_cone,
     hilbert_basis,
     tight_points,
 )
 from coveralg.errors import DimensionMismatch
 from coveralg.graphs import family_instance
-from coveralg.monomial import guard_bits
+from coveralg.monomial import field_codec, guard_bits
 from oracles import (
     DegenerateCone,
     SimplicialSubcone,
@@ -38,6 +36,15 @@ from oracles import (
     triangulate,
     veronese,
 )
+
+
+def _unpack(x, fields, width):
+    """The completion's packed fields of x, coordinate 0 lowest."""
+    return list(field_codec(fields, width, "little")[1](x))
+
+
+def _pack(values, width):
+    return field_codec(len(values), width, "little")[0](values)
 
 
 def triangle():

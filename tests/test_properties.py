@@ -164,13 +164,14 @@ def test_from_gens_keeps_the_minimal_vectors(vectors):
 @given(ideal_pairs())
 def test_multiply_matches_definition(pair):
     # the packed product that `power` multiplies with, one field wide
-    # enough for the sums of the two tops
+    # enough for the sums of the two tops: each sum of packed vectors is
+    # the packed product, and `minimal` keeps the generators
     left, right = pair
     top = max((e for g in left.gens + right.gens for e in g), default=0)
     packing = Packing(left.n, 2 * top)
-    got = packing.product(
-        list(map(packing.pack, left.gens)), list(map(packing.pack, right.gens))
-    )
+    left_packed = list(map(packing.pack, left.gens))
+    right_packed = list(map(packing.pack, right.gens))
+    got = packing.minimal(f + g for f in left_packed for g in right_packed)
     assert tuple(map(packing.unpack, got)) == products(left.gens, right.gens)
 
 
