@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import DimensionMismatch, InvalidComplex
 from .monomial import (
-    ExpVec, MonomialIdeal, Packing, checked_int, checked_ints, file_field,
+    ExpVec, MonomialIdeal, checked_int, checked_ints, file_field,
 )
 
 
@@ -140,27 +140,29 @@ def cover_complex(ideal: MonomialIdeal) -> WeightedComplex:
     minimal cover C of the larger family contains a minimal cover T of
     the smaller one, and C is T if T meets F, else T + v for a v of C in F.
 
-    Covers are packed 0/1 vectors (`Packing(n, 1)`): meeting F is one `&`
-    with F's field mask, adding a vertex one int addition, and one
-    `Packing.minimal` pass per support keeps the antichain. That antichain
-    is the complex, so it is built directly, without the pairwise check of
-    `WeightedComplex.validate`.
+    Covers are vertex bitmasks. The T that meet F are kept untested: they
+    are an antichain, and a T + v below one would put T below another. The
+    T + v go in popcount order, as only a smaller set lies below a set, and
+    each is kept unless a kept mask m has m & c == m. That antichain is the
+    complex, built without the pairwise check of `WeightedComplex.validate`.
     """
     if ideal.is_zero:
         raise InvalidComplex("empty facet")
     supports = {frozenset(i for i, e in enumerate(g) if e) for g in ideal.gens}
-    packing = Packing(ideal.n, 1)
-    degree_one = 1 << packing.degree_at
     covers = [0]  # the empty cover
     for f in sorted(supports, key=_facet_key):
-        bits = [1 << packing.shifts[v] for v in f]
-        field = sum(bits)
-        covers = packing.minimal(
-            [c for c in covers if c & field]
-            + [c + b + degree_one for c in covers if not c & field for b in bits]
-        )
+        fmask = sum(1 << v for v in f)
+        kept = [c for c in covers if c & fmask]
+        grown = {c | 1 << v for c in covers if not c & fmask for v in f}
+        for c in sorted(grown, key=int.bit_count):
+            for m in kept:
+                if m & c == m:
+                    break
+            else:
+                kept.append(c)
+        covers = kept
     primes = sorted(
-        (frozenset(v for v, x in enumerate(packing.unpack(c)) if x) for c in covers),
+        (frozenset(v for v in range(ideal.n) if c >> v & 1) for c in covers),
         key=_facet_key,
     )
     return WeightedComplex(ideal.n, tuple(primes), (1,) * len(primes))

@@ -25,6 +25,8 @@ arithmetic is on Python ints; no floating point enters any verdict.
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
 from typing import NamedTuple, Sequence
 
 from .complexes import WeightedComplex
@@ -69,7 +71,6 @@ def build_cone(complex_: WeightedComplex) -> ConeSystem:
 # Bits per field when a completion starts, its guard bit included; a cut
 # that overflows a field doubles the width of every field and starts over.
 _START_WIDTH = 8
-_DIGITS = bytes.maketrans(b"\0\x80", b"01")  # a mark's byte as a digit (`tight_points`)
 
 
 def _row_values(basis: list[int], row: Sequence[int], width: int) -> list[int] | None:
@@ -295,22 +296,14 @@ def hilbert_basis(system: ConeSystem, degree_cap: int | None = None) -> HilbertB
 
 def tight_points(system: ConeSystem, degree_cap: int) -> list[tuple[LatticePoint, int]]:
     """The basis points of degree 1 to the cap, as `hilbert_basis` sorts
-    them, each with a mask whose bit r is set iff rows[r] . p == 0.
-
-    Those are p's zero slack fields. With s the slack part, H its guard
-    mask and L = H >> (w - 1), (s | H) - L borrows the guard bit from just
-    those fields, so ~((s | H) - L) & H marks each in its field's top byte:
-    every (w/8)-th byte, big-endian, as 8 divides w."""
+    them, each with a mask whose bit r is set iff rows[r] . p == 0, that is
+    iff p's slack field on rows[r] is 0."""
     basis, fields, width, _ = _complete(system, degree_cap)
     d = system.dim
-    guards = guard_bits(fields - d, width)
-    low = guards >> width - 1
-    read = field_codec(d, width, "little")[1]
-    points = []
-    for x in basis:
-        p = read(x)
-        if 0 < p[-1] <= degree_cap:
-            marks = ~((x >> d * width | guards) - low) & guards
-            digits = marks.to_bytes((fields - d) * width // 8, "big")[:: width // 8]
-            points.append((p, int(digits.translate(_DIGITS) or b"0", 2)))
+    read = field_codec(fields, width, "little")[1]
+    bits = [1 << r for r in range(fields - d)]
+    points = [
+        (p[:d], sum(compress(bits, map(not_, p[d:]))))
+        for p in map(read, basis) if 0 < p[d - 1] <= degree_cap
+    ]
     return sorted(points, key=lambda e: (e[0][-1], e[0]))

@@ -90,11 +90,12 @@ def split(
 ) -> list[CoverPoint]:
     """Split a cover a of order k of a graph into covers of lower orders.
 
-    On a bipartite graph a is the sum of k covers of order 1: rounding
-    a/k up on one side and down on the other gives one, and what is left
-    is a cover of order k - 1, split the same way. On any other graph
-    with canonical weights, a cover of order k >= 3 is the sum of a cover
-    of order 2, which is 0 where a is 0, 2 on the neighbors of those
+    On a bipartite graph, for k >= 2, a is the sum of k covers of order 1
+    by Hermite's identity x = sum over r < k of floor((x + r) / k): part r
+    is floor((x + k - 1 - r) / k) on the first side and floor((x + r) / k)
+    on the second, which add up to an edge's weight or more. On any other
+    graph with canonical weights, a cover of order k >= 3 is the sum of a
+    cover of order 2, which is 0 where a is 0, 2 on the neighbors of those
     vertices and 1 elsewhere, and the rest, of order k - 2. Every part is
     checked to be a cover of its order before it is returned.
     """
@@ -103,19 +104,16 @@ def split(
     if not is_cover(complex_, av, k):
         raise ValueError(f"{av} is not a cover of order {k}")
     if bip.is_bipartite:
+        if k < 2:
+            return [CoverPoint(av, k)]
         up, _ = bip.parts
         parts: list[CoverPoint] = []
-        rest, order = av, k
-        while order >= 2:
-            b = tuple(
-                -(-x // order) if i in up else x // order for i, x in enumerate(rest)
-            )
-            c = tuple(map(sub, rest, b))
-            if not (is_cover(complex_, b, 1) and is_cover(complex_, c, order - 1)):
-                raise InternalError(f"split {b} + {c} of {rest} is not a cover")
+        for r in range(k):
+            b = tuple((x + k - 1 - r if i in up else x + r) // k for i, x in enumerate(av))
+            if not is_cover(complex_, b, 1):
+                raise InternalError(f"part {b} of {av} is not a cover of order 1")
             parts.append(CoverPoint(b, 1))
-            rest, order = c, order - 1
-        return parts + [CoverPoint(rest, order)]
+        return parts
     if k < 3:
         raise ValueError("non-bipartite split needs a cover of order >= 3")
     if not complex_.has_canonical_weights:

@@ -65,7 +65,6 @@ class Packing:
     def __init__(self, n: int, top: int):
         # the values, then the guard bit, in 1, 2, 4, 8, 16, ... whole bytes
         width = 8 << (top.bit_length() // 8).bit_length()
-        self.shifts = range((n - 1) * width, -1, -width)  # x1 highest
         self.degree_at = n * width
         self.guards = guard_bits(n, width)
         self.write, self.unpack = field_codec(n, width, "big")

@@ -364,6 +364,16 @@ class TestFacetAndCoverComplex:
             )
             assert got == cover_complex(radical)
 
+    @pytest.mark.parametrize("gens, primes", [
+        # the stars K_{1,69} and K_{2,68}, and (x1 x70, x35): covers past 64 vertices
+        ([{0, j} for j in range(1, 70)], [{0}, set(range(1, 70))]),
+        ([{i, j} for i in (0, 1) for j in range(2, 70)], [{0, 1}, set(range(2, 70))]),
+        ([{0, 69}, {34}], [{0, 34}, {34, 69}]),
+    ])
+    def test_seventy_vertices(self, gens, primes):
+        ideal = MonomialIdeal.from_gens(70, [[int(v in g) for v in range(70)] for g in gens])
+        assert cover_complex(ideal) == WeightedComplex.validate(70, primes)
+
     def test_unit_ideal_has_no_facets(self):
         for n in (0, 3):
             unit = MonomialIdeal.from_gens(n, [(0,) * n])

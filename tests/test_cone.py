@@ -856,13 +856,21 @@ class TestTightPoints:
         assert self.check(ConeSystem(2, ()), 1) == [((0, 1), 0)]
 
     def test_masks_at_widened_fields(self):
-        # the fields widen to 16 bits (a weight of 200) and to 32 bits
-        # (40,000), so each mark is every second or every fourth byte
+        # the fields widen to 16 bits (a weight of 200), 32 (40,000), 64
+        # (3 * 10^9) and 128 (10^19), where the fields are read by shifts
         for system, width in ((build_cone(WEIGHT_200), 16),
-                              (ConeSystem(2, ((40000, -40000),)), 32)):
+                              (ConeSystem(2, ((40000, -40000),)), 32),
+                              (ConeSystem(2, ((3 * 10**9, -3 * 10**9),)), 64),
+                              (ConeSystem(2, ((10**19, -10**19),)), 128)):
             assert _complete(system, 3)[2] == width
             got = self.check(system, 3)
             assert got and all(mask for _, mask in got)
+        for big in (3 * 10**9, 10**19):
+            assert tight_points(ConeSystem(2, ((big, -big),)), 3) == [((1, 1), 1)]
+        # a 128-bit completion with a second row, tight at the point
+        system = ConeSystem(3, ((10**19, -10**19, 0), (0, 1, -1)))
+        assert _complete(system, 3)[2] == 128
+        assert self.check(system, 3) == [((1, 1, 1), 0b11)]
         assert tight_points(build_cone(WEIGHT_200), 1) == [
             ((200, 0, 1, 1), 0b11), ((200, 1, 0, 1), 0b11)
         ]

@@ -211,6 +211,20 @@ class TestBipartiteSplit:
             ((1, 0, 1, 0), 1), ((0, 1, 0, 1), 1)
         )
 
+    @pytest.mark.parametrize("g, a, k, parts", [
+        (graph(2, [(0, 1)], [3]), (7, 5), 4,
+         [(2, 1), (2, 1), (2, 1), (1, 2)]),
+        (graph(3, [(0, 1), (1, 2)], [2, 1]), (5, 3, 2), 3,
+         [(2, 1, 1), (2, 1, 1), (1, 1, 0)]),
+        (graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], [1, 2, 1, 3]), (8, 4, 6, 9), 5,
+         [(2, 0, 2, 1), (2, 1, 1, 2), (2, 1, 1, 2), (1, 1, 1, 2), (1, 1, 1, 2)]),
+        (graph(5, [(0, 1), (1, 2), (3, 4)], [2, 1, 3]), (11, 1, 5, 10, 8), 6,
+         [(2, 0, 1, 2, 1)] * 4 + [(2, 0, 1, 1, 2), (1, 1, 0, 1, 2)]),
+    ])
+    def test_weighted_parts_in_order(self, g, a, k, parts):
+        # the values and the order of the parts, not only their sum
+        assert split(g, a, k) == parts_of(*[(p, 1) for p in parts])
+
     def test_non_bipartite_rejected(self):
         # an odd cycle rules out the rounding chain, so a cover the order-2
         # step cannot take is refused rather than split into order-1 parts
