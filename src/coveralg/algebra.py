@@ -2,7 +2,8 @@
 
 The generator list of a complex is the positive-degree part of the cover
 cone's Hilbert basis. Symbolic powers of squarefree ideals are read off
-that list. Degree bounds with irrational closed forms are handled by
+that list, and those of other monomial ideals are met from their primary
+components. Degree bounds with irrational closed forms are handled by
 squared-integer comparators so every verdict is exact.
 """
 
@@ -15,8 +16,8 @@ from typing import NamedTuple
 
 from .complexes import CoverPoint, WeightedComplex, cover_complex
 from .cone import build_cone, hilbert_basis, tight_points
-from .errors import InternalError, NonSquarefreeIdeal, TruncatedPresentation
-from .monomial import ExpVec, MonomialIdeal, Packing, checked_int
+from .errors import InternalError, TruncatedPresentation
+from .monomial import ExpVec, MonomialIdeal, Packing, checked_int, minimal_elements
 
 
 class AlgebraPresentation(NamedTuple):
@@ -97,13 +98,34 @@ def degree_limit(n: int) -> int:
     return isqrt(((n + 1) ** (n + 3) - 1) // 4**n)
 
 
-def squarefree_symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
-    """k-th symbolic power of a squarefree ideal, read off a cover algebra."""
-    return _symbolic_power(ideal, k)[0]
+def symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """I^(k), the meet over I's minimal primes P of I^k R_P ∩ R.
+
+    Only minimal primes count, so an embedded component of I^k drops out:
+    (x1^2, x1 x2) has the one minimal prime (x1) and I^(2) = (x1^2). A
+    squarefree I is read off its cover algebra (`_symbolic_power`). Any
+    other I is met as the intersection of the Q_P^k, Q_P being I with the
+    variables outside P set to 1, its P-primary component.
+    """
+    if checked_int(k, "symbolic power order") < 1:
+        raise ValueError(f"symbolic power order must be >= 1, got {k}")
+    if ideal.is_squarefree:
+        return _symbolic_power(ideal, k)[0]
+    return _primary_meet(ideal, k)
+
+
+def _primary_meet(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """The intersection of the Q_P^k over the minimal primes P of I."""
+    return reduce(MonomialIdeal.intersect, (
+        MonomialIdeal(ideal.n, minimal_elements(
+            tuple(e if v in p else 0 for v, e in enumerate(g)) for g in ideal.gens
+        )).power(k)
+        for p in cover_complex(ideal).facets
+    ))
 
 
 def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec | None]:
-    """I^(k) of a squarefree I, and its least generator outside I^k, or None.
+    """I^(k) of a squarefree I, k >= 1, and its least generator outside I^k, or None.
 
     I^(k) is the degree-k part of the vertex cover algebra of the complex
     of I's minimal primes (Herzog, Hibi and Trung, Adv. Math. 210 (2007)),
@@ -130,12 +152,6 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
     carries its tight primes and its support as bitmasks, so the test takes
     a few integer operations per sum and no antichain is formed.
     """
-    if checked_int(k, "symbolic power order") < 1:
-        raise ValueError(f"symbolic power order must be >= 1, got {k}")
-    if not ideal.is_squarefree:
-        raise NonSquarefreeIdeal(
-            "symbolic power via minimal primes requires a squarefree ideal"
-        )
     if ideal.is_zero or ideal.is_unit:
         return ideal, None
     cover = cover_complex(ideal)
@@ -183,14 +199,23 @@ class PowerComparison(NamedTuple):
 
 
 def compare_powers(ideal: MonomialIdeal, k: int) -> PowerComparison:
-    """Compare the k-th ordinary and symbolic powers of a squarefree ideal.
+    """Compare the k-th ordinary and symbolic powers of a monomial ideal.
 
     On strict containment, the witness is the (degree, lex)-least symbolic
-    generator outside the ordinary power. The pass that builds I^(k) keeps,
-    by induction, each cover's least last-summand index. The cover lies in
-    I^k, as a sum of k generators of I, iff that summand has degree 1.
+    generator outside the ordinary power. For a squarefree I, the pass that
+    builds I^(k) keeps, by induction, each cover's least last-summand index.
+    The cover lies in I^k, as a sum of k generators of I, iff that summand
+    has degree 1. For any other I, I^k lies in I^(k), so a generator of
+    I^(k) that lies in I^k is a generator of I^k, and the witness is the
+    first generator of I^(k) that is no generator of I^k.
     """
     if checked_int(k, "power") < 1:
         raise ValueError(f"power must be >= 1, got {k}")
-    witness = _symbolic_power(ideal, k)[1]  # refuses a non-squarefree I
+    if ideal.is_squarefree:
+        witness = _symbolic_power(ideal, k)[1]
+    else:
+        ordinary = set(ideal.power(k).gens)
+        witness = next(
+            (g for g in _primary_meet(ideal, k).gens if g not in ordinary), None
+        )
     return PowerComparison(witness is None, witness)

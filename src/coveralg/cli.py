@@ -140,15 +140,7 @@ def _ideal(ideal: MonomialIdeal) -> Output:
 
 
 def cmd_symbolic(args: argparse.Namespace) -> Output:
-    ideal = _load_ideal(args.ideal_file)
-    if args.wrt:
-        return _ideal(ideal.symbolic_power(args.order, _load_ideal(args.wrt)))
-    if not ideal.is_squarefree:
-        raise ValueError(
-            "ordinary symbolic powers need a squarefree ideal; "
-            "pass --wrt J-file to saturate with respect to J instead"
-        )
-    return _ideal(algebra.squarefree_symbolic_power(ideal, args.order))
+    return _ideal(algebra.symbolic_power(_load_ideal(args.ideal_file), args.order))
 
 
 def cmd_power(args: argparse.Namespace) -> Output:
@@ -319,9 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("ideal_file")
         p.add_argument("-n", dest="order", type=int, required=True)
         p.set_defaults(func=func)
-    sub.choices["symbolic"].add_argument(
-        "--wrt", help="ideal file to saturate with respect to"
-    )
 
     p = sub.add_parser("check", help="predicates with witnesses")
     p.add_argument("complex_file")

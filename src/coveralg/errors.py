@@ -5,14 +5,6 @@ class DimensionMismatch(ValueError):
     """Operands live in polynomial rings with different variable counts."""
 
 
-class ZeroIdealColon(ValueError):
-    """Saturation by the zero ideal is undefined."""
-
-
-class NonSquarefreeIdeal(ValueError):
-    """Operation requires every generator to have 0/1 exponents."""
-
-
 class InvalidComplex(ValueError):
     """Raw complex data violates an invariant (see message for which)."""
 

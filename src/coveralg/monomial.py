@@ -20,13 +20,13 @@ one `struct` call and written with one `from_bytes` (`field_codec`).
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache
 from itertools import chain
 from operator import lshift
 from struct import Struct
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
-from .errors import DimensionMismatch, InternalError, ZeroIdealColon
+from .errors import DimensionMismatch, InternalError
 
 ExpVec = tuple[int, ...]
 
@@ -248,30 +248,6 @@ class MonomialIdeal(NamedTuple):
         for _ in range(k):
             result = packing.minimal(f + g for f in result for g in base)
         return MonomialIdeal(self.n, tuple(map(packing.unpack, result)))
-
-    def saturate(self, other: MonomialIdeal) -> MonomialIdeal:
-        """(self : other^infinity) in closed form.
-
-        (self : g^infinity) is self with the variables of supp(g) set to 1:
-        the minimal elements of the generators with those coordinates
-        zeroed. The saturation by other is the intersection of these
-        ideals over other's generators g, met one `intersect` at a time.
-        """
-        self._same_ring(other)
-        if other.is_zero:
-            raise ZeroIdealColon("saturation by the zero ideal is undefined")
-        return reduce(MonomialIdeal.intersect, (
-            MonomialIdeal(self.n, minimal_elements(
-                tuple(0 if b else a for a, b in zip(f, g)) for f in self.gens
-            ))
-            for g in other.gens
-        ))
-
-    def symbolic_power(self, k: int, wrt: MonomialIdeal) -> MonomialIdeal:
-        """k-th power saturated by wrt."""
-        if checked_int(k, "symbolic power order") < 1:
-            raise ValueError(f"symbolic power order must be >= 1, got {k}")
-        return self.power(k).saturate(wrt)
 
     def to_dict(self) -> dict:
         return {"n": self.n, "gens": [list(g) for g in self.gens]}

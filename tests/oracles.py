@@ -2,10 +2,11 @@
 
 Everything here recomputes answers from first principles (definitions,
 enumeration, exhaustive scans) or by a second algorithm (symbolic powers
-by intersecting prime powers, the symbolic-ordinary comparison by forming
-the ordinary power, the Gorenstein property by the Danilov-Stanley count
-of the interior's minimal points, standard gradedness by the degrees of
-the cover cone's basis, and the primal Hilbert-basis engine at the end)
+by intersecting prime powers or by scanning a box, the symbolic-ordinary
+comparison by forming the ordinary power, the Gorenstein property by the
+Danilov-Stanley count of the interior's minimal points, standard
+gradedness by the degrees of the cover cone's basis, and the primal
+Hilbert-basis engine at the end)
 without calling the code paths under test, so a test comparing the two
 sides is a genuine cross-check. Helpers that only the tests use live here
 too: the skeletons of a simplex, Veronese weight scaling, the facet ideal
@@ -13,19 +14,18 @@ of a complex, cone membership row by row, the Bareiss determinant and the
 0/1 determinant bound of the primal engine, the odd-cycle domination
 filter of the graph tests, the search for a Veronese degree d by comparing
 powers of ideals, and the ideal calculus the package does not need: the
-zero and unit ideals, products, sums and colons of monomial ideals.
+zero and unit ideals, products and sums of monomial ideals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, product as cartesian
+from itertools import combinations, combinations_with_replacement, product as cartesian
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from coveralg.algebra import squarefree_symbolic_power
+from coveralg.algebra import symbolic_power
 from coveralg.complexes import CoverPoint, WeightedComplex
 from coveralg.cone import ConeSystem
 from coveralg.errors import DimensionMismatch
@@ -64,12 +64,6 @@ def member_product(gens_i, gens_j, m) -> bool:
     )
 
 
-def member_colon(gens_i, gens_j, m) -> bool:
-    return all(
-        member(gens_i, tuple(a + b for a, b in zip(m, g))) for g in gens_j
-    )
-
-
 # --- the ideal calculus the package does not need --------------------------
 #
 # Built on `from_gens`, `intersect` and plain tuples; the tests check each
@@ -103,21 +97,6 @@ def ideal_sum(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """I + J, generated by the generators of both."""
     i._same_ring(j)
     return MonomialIdeal.from_gens(i.n, i.gens + j.gens)
-
-
-def colon(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """(I : J), the intersection over J's generators g of (I : g).
-
-    (I : g) is generated by the f - g floored at 0 for I's generators f;
-    (I : 0) is the unit ideal, the empty intersection.
-    """
-    i._same_ring(j)
-    return reduce(MonomialIdeal.intersect, (
-        MonomialIdeal.from_gens(
-            i.n, (tuple(max(a - b, 0) for a, b in zip(f, g)) for f in i.gens)
-        )
-        for g in j.gens
-    ), unit(i.n))
 
 
 def box(bounds):
@@ -459,8 +438,52 @@ def compare_by_ordinary_power(ideal: MonomialIdeal, k: int) -> tuple:
     of I^(k), in (degree, lex) order, that is no generator of I^k.
     """
     ordinary = set(ideal.power(k).gens)
-    symbolic = squarefree_symbolic_power(ideal, k)
+    symbolic = symbolic_power(ideal, k)
     witness = next((g for g in symbolic.gens if g not in ordinary), None)
+    return witness is None, witness
+
+
+def _sums(vectors, k: int) -> set:
+    """The sums of k of the vectors, repeats allowed."""
+    return {tuple(map(sum, zip(*m))) for m in combinations_with_replacement(vectors, k)}
+
+
+def symbolic_power_by_box(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
+    """I^(k) of any monomial ideal, as the minimal members of a box.
+
+    x^c lies in I^(k) iff, for each minimal prime P of I, c restricted to P
+    lies above a sum of k generators of I restricted to P: the monomials of
+    I^k with the variables outside P set to 1. A generator of I^(k) is a
+    join of generators of those ideals, so its i-th exponent is at most k
+    times the largest of x_i in I, and that box holds every generator. The
+    primes come from `minimal_hitting_sets` and the sums from every choice
+    of k generators: no intersection, power, cover complex or symbolic
+    power of the package is used.
+    """
+    supports = [[i for i, e in enumerate(g) if e] for g in ideal.gens]
+    top = [k * max((g[i] for g in ideal.gens), default=0) for i in range(ideal.n)]
+    above = []  # per prime P: P, and the points of the box on P above a sum
+    for p in map(sorted, minimal_hitting_sets(ideal.n, supports)):
+        sums = _sums({tuple(g[i] for i in p) for g in ideal.gens}, k)
+        above.append((p, {d for d in box([top[i] for i in p]) if member(sums, d)}))
+    inside = {
+        c for c in box(top) if all(tuple(c[i] for i in p) in up for p, up in above)
+    }
+    gens = [
+        c for c in inside if not any(
+            c[i] and c[:i] + (c[i] - 1,) + c[i + 1:] in inside for i in range(ideal.n)
+        )
+    ]
+    return MonomialIdeal(ideal.n, tuple(sorted(gens, key=lambda c: (sum(c), c))))
+
+
+def compare_by_box(ideal: MonomialIdeal, k: int) -> tuple:
+    """(equal, witness) of `compare_powers` from `symbolic_power_by_box`:
+    the first generator of I^(k) above no sum of k generators of I."""
+    sums = _sums(ideal.gens, k)
+    witness = next(
+        (g for g in symbolic_power_by_box(ideal, k).gens if not member(sums, g)), None
+    )
     return witness is None, witness
 
 

@@ -468,20 +468,26 @@ class TestComparePowers:
         assert outcomes == {True, False}
 
 
+# a squarefree ideal, and one that is not: (x1^2, x1 x2)
+ORDER_CHECKED = (face_ideal(3, cycle(3)), MonomialIdeal.from_gens(2, [(2, 0), (1, 1)]))
+
+
 @pytest.mark.parametrize("bad", [2.0, True])
 def test_symbolic_power_order_is_not_coerced(bad):
-    with pytest.raises(
-        ValueError, match=f"symbolic power order must be an integer, got {bad!r}"
-    ):
-        algebra.squarefree_symbolic_power(face_ideal(3, cycle(3)), bad)
+    for ideal in ORDER_CHECKED:
+        with pytest.raises(
+            ValueError, match=f"symbolic power order must be an integer, got {bad!r}"
+        ):
+            algebra.symbolic_power(ideal, bad)
 
 
 @pytest.mark.parametrize("k", [0, -1])
 def test_symbolic_power_order_below_one_is_refused(k):
-    with pytest.raises(
-        ValueError, match=f"symbolic power order must be >= 1, got {k}"
-    ):
-        algebra.squarefree_symbolic_power(face_ideal(3, cycle(3)), k)
+    for ideal in ORDER_CHECKED:
+        with pytest.raises(
+            ValueError, match=f"symbolic power order must be >= 1, got {k}"
+        ):
+            algebra.symbolic_power(ideal, k)
 
 
 @pytest.mark.parametrize("bad", [1.5, True, 2.5])
@@ -504,7 +510,7 @@ class TestSymbolicPowerByCoverAlgebra:
             ]
             ideal = face_ideal(n, faces)
             for k in (1, 2, 3):
-                sym = algebra.squarefree_symbolic_power(ideal, k)
+                sym = algebra.symbolic_power(ideal, k)
                 assert sym == oracles.symbolic_power_by_intersection(ideal, k)
                 proper += sym != ideal.power(k)
         assert proper >= 15  # cases where a generator of degree >= 2 matters
@@ -522,9 +528,51 @@ class TestSymbolicPowerByCoverAlgebra:
         ]
         for ideal, top in cases:
             for k in range(1, top + 1):
-                assert algebra.squarefree_symbolic_power(
+                assert algebra.symbolic_power(
                     ideal, k
                 ) == oracles.symbolic_power_by_intersection(ideal, k)
+
+
+class TestSymbolicPowerOfNonSquarefreeIdeals:
+    # the meet of primary components against the oracle's box scan, which
+    # uses none of intersect, power, cover_complex or symbolic_power
+    def test_matches_box_scan_on_random_ideals(self):
+        rng = random.Random(233)
+        done, outcomes = 0, set()
+        while done < 120:
+            n = rng.randint(1, 5)
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 4))
+            ]
+            ideal, k = MonomialIdeal.from_gens(n, gens), rng.randint(1, 3)
+            if ideal.is_squarefree:
+                continue
+            sym = algebra.symbolic_power(ideal, k)
+            assert sym == oracles.symbolic_power_by_box(ideal, k), (gens, k)
+            expected = oracles.compare_by_box(ideal, k)
+            assert tuple(algebra.compare_powers(ideal, k)) == expected, (gens, k)
+            outcomes.add(expected[0])
+            done += 1
+        assert outcomes == {True, False}
+
+    def test_embedded_component_does_not_count(self):
+        # (x1^2, x1 x2) = (x1) ∩ (x1^2, x2): the one minimal prime is (x1)
+        ideal = MonomialIdeal.from_gens(2, [(2, 0), (1, 1)])
+        for k, want in ((1, (1, 0)), (2, (2, 0))):
+            assert algebra.symbolic_power(ideal, k) == MonomialIdeal(2, (want,))
+            assert oracles.symbolic_power_by_box(ideal, k) == MonomialIdeal(2, (want,))
+        assert algebra.compare_powers(ideal, 1) == (False, (1, 0))
+        assert oracles.compare_by_box(ideal, 1) == (False, (1, 0))
+
+    def test_five_cycle_of_x_squared_y_at_k_3(self):
+        ideal = MonomialIdeal.from_gens(5, [
+            tuple(2 if v == j else int(v == (j + 1) % 5) for v in range(5))
+            for j in range(5)
+        ])
+        sym = algebra.symbolic_power(ideal, 3)
+        assert len(sym.gens) == 40
+        assert sym == oracles.symbolic_power_by_box(ideal, 3)
+        assert tuple(algebra.compare_powers(ideal, 3)) == oracles.compare_by_box(ideal, 3)
 
 
 class TestSymbolicPowerPastOneByteFields:
@@ -533,7 +581,7 @@ class TestSymbolicPowerPastOneByteFields:
         # covers in 2-byte fields
         edge = MonomialIdeal.from_gens(2, [(1, 1)])
         want = MonomialIdeal.from_gens(2, [(130, 130)])
-        assert algebra.squarefree_symbolic_power(edge, 130) == want
+        assert algebra.symbolic_power(edge, 130) == want
         assert edge.power(130) == want
         assert algebra.compare_powers(edge, 130) == (True, None)
 
@@ -546,7 +594,7 @@ class TestSymbolicPowerPastOneByteFields:
             n = rng.randint(6, 7)
             faces = [rng.sample(range(n), rng.randint(2, 3)) for _ in range(rng.randint(4, 7))]
             ideal, k = face_ideal(n, faces), rng.choice((5, 6))
-            sym = algebra.squarefree_symbolic_power(ideal, k)
+            sym = algebra.symbolic_power(ideal, k)
             if len(sym.gens) >= 100 and done[k] < 3:
                 assert sym == oracles.symbolic_power_by_intersection(ideal, k), faces
                 done[k] += 1

@@ -176,26 +176,12 @@ class TestSymbolicAndPower:
             "gens": sorted(TRIANGLE_IDEAL["gens"])
         }
 
-    def test_non_squarefree_without_wrt_exits_2(self, capsys, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"n": 2, "gens": [[2, 0]]}), encoding="utf-8")
-        code, _, err = run(capsys, "symbolic", str(path), "-n", "2")
-        assert code == 2
-        assert "squarefree" in err
-
-    def test_symbolic_wrt_matches_squarefree_route(
-        self, capsys, ideal_file, tmp_path
-    ):
-        maxl = tmp_path / "max.json"
-        maxl.write_text(
-            json.dumps({"n": 3, "gens": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}),
-            encoding="utf-8",
-        )
-        _, with_wrt, _ = run(
-            capsys, "symbolic", ideal_file, "-n", "2", "--wrt", str(maxl), "--json"
-        )
-        _, plain, _ = run(capsys, "symbolic", ideal_file, "-n", "2", "--json")
-        assert json.loads(with_wrt) == json.loads(plain)
+    def test_non_squarefree_succeeds(self, capsys, tmp_path):
+        # (x1^2, x1 x2) = (x1) ∩ (x1^2, x2), and only the minimal prime counts
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"n": 2, "gens": [[2, 0], [1, 1]]}), encoding="utf-8")
+        code, out, _ = run(capsys, "symbolic", str(path), "-n", "2", "--json")
+        assert (code, json.loads(out)) == (0, {"n": 2, "gens": [[2, 0]]})
 
     def test_power(self, capsys, ideal_file):
         code, out, _ = run(capsys, "power", ideal_file, "-n", "2", "--json")
@@ -206,21 +192,12 @@ class TestSymbolicAndPower:
 
 
 class TestCompare:
-    def test_non_squarefree_exits_2_before_any_power(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        def no_power(self, k):
-            raise AssertionError("compare computed a power of a refused ideal")
-
-        monkeypatch.setattr(MonomialIdeal, "power", no_power)
-        path = tmp_path / "bad.json"
-        bad = {"n": 2, "gens": [[2, 0], [1, 1]]}
-        path.write_text(json.dumps(bad), encoding="utf-8")
-        code, out, err = run(capsys, "compare", str(path), "-n", "3")
-        assert (code, out) == (2, "")
-        assert err == (
-            "error: symbolic power via minimal primes requires a squarefree ideal\n"
-        )
+    def test_non_squarefree_succeeds(self, capsys, tmp_path):
+        path = tmp_path / "ideal.json"
+        path.write_text(json.dumps({"n": 2, "gens": [[2, 0], [1, 1]]}), encoding="utf-8")
+        code, out, err = run(capsys, "compare", str(path), "-n", "1")
+        want = "power 1: symbolic strictly larger, witness x1\n"
+        assert (code, out, err) == (0, want, "")
 
     def test_squarefree_forms_no_ordinary_power(self, capsys, monkeypatch, ideal_file):
         # membership in I^k is read off the pass that builds I^(k)
@@ -547,7 +524,6 @@ class TestJsonLayout:
         ["basis", "{triangle}", "--cap", "1"],  # truncated, exit 3
         ["basis", "{empty}"],
         ["symbolic", "{ideal}", "-n", "3"],
-        ["symbolic", "{ideal}", "-n", "2", "--wrt", "{ideal}"],
         ["power", "{ideal}", "-n", "3"],
         ["compare", "{ideal}", "-n", "2"],
         ["check", "{triangle}", "bipartite"],
@@ -672,10 +648,6 @@ REFUSALS = [
     (["compare", "IDEAL", "-n", "0"], "power must be >= 1, got 0"),
     (["power", "NEGATIVE_EXPONENT", "-n", "2"], "negative exponent in (1, -1)"),
     (["power", "IDEAL", "-n", "-1"], "power exponent must be >= 0, got -1"),
-    (
-        ["symbolic", "IDEAL", "-n", "0", "--wrt", "IDEAL"],
-        "symbolic power order must be >= 1, got 0",
-    ),
     (["power", "NO_VARIABLES", "-n", "1"], "variable count must be >= 1, got 0"),
     (["basis", "NEGATIVE_VERTICES"], "vertex count must be >= 0, got -1"),
     (["basis"], "either a complex file or --family M K is required"),
@@ -916,7 +888,7 @@ class TestUsageErrors:
         assert exc.value.code == 1
 
     @pytest.mark.parametrize("command, usage", [
-        ("symbolic", "usage: coveralg symbolic [-h] -n ORDER [--wrt WRT] [--json] ideal_file"),
+        ("symbolic", "usage: coveralg symbolic [-h] -n ORDER [--json] ideal_file"),
         ("power", "usage: coveralg power [-h] -n ORDER [--json] ideal_file"),
         ("compare", "usage: coveralg compare [-h] -n ORDER [--json] ideal_file"),
     ])

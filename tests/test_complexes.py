@@ -7,7 +7,8 @@ import time
 import pytest
 
 import oracles
-from coveralg.algebra import gorenstein_report, squarefree_symbolic_power
+from coveralg import algebra
+from coveralg.algebra import gorenstein_report, symbolic_power
 from coveralg.complexes import (
     CoverPoint,
     WeightedComplex,
@@ -15,7 +16,7 @@ from coveralg.complexes import (
     is_cover,
     skeleton_generators,
 )
-from coveralg.errors import DimensionMismatch, InvalidComplex, NonSquarefreeIdeal
+from coveralg.errors import DimensionMismatch, InvalidComplex
 from coveralg.monomial import MonomialIdeal
 from oracles import (
     cover_ideal, facet_ideal, module_generators, prime_power_ideal, skeleton,
@@ -387,52 +388,43 @@ class TestFacetAndCoverComplex:
 class TestSquarefreeSymbolicPower:
     def test_triangle_square(self):
         edges = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
-        sym2 = squarefree_symbolic_power(edges, 2)
+        sym2 = symbolic_power(edges, 2)
         assert oracles.member(sym2.gens, (1, 1, 1))
         assert not oracles.member(sym2.gens, (2, 1, 0))
 
     def test_power_one_is_identity(self):
         edges = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
-        assert squarefree_symbolic_power(edges, 1) == edges
+        assert symbolic_power(edges, 1) == edges
 
     def test_disjoint_edges_square_is_ordinary(self):
         two = MonomialIdeal.from_gens(4, [(1, 0, 1, 0), (0, 1, 0, 1)])
-        assert squarefree_symbolic_power(two, 2) == two.power(2)
+        assert symbolic_power(two, 2) == two.power(2)
 
-    def test_non_squarefree_rejected(self):
-        with pytest.raises(NonSquarefreeIdeal):
-            squarefree_symbolic_power(MonomialIdeal.from_gens(2, [(2, 0)]), 2)
+    def test_non_squarefree_accepted(self):
+        # (x1^2) is its own primary component, so I^(2) = I^2
+        assert symbolic_power(MonomialIdeal.from_gens(2, [(2, 0)]), 2) == (
+            MonomialIdeal.from_gens(2, [(4, 0)])
+        )
 
     def test_grading(self):
         edges = MonomialIdeal.from_gens(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
         for a in (1, 2):
             for b in (1, 2):
                 prod = oracles.product(
-                    squarefree_symbolic_power(edges, a),
-                    squarefree_symbolic_power(edges, b),
+                    symbolic_power(edges, a),
+                    symbolic_power(edges, b),
                 )
-                target = squarefree_symbolic_power(edges, a + b)
+                target = symbolic_power(edges, a + b)
                 assert all(oracles.member(target.gens, g) for g in prod.gens)
 
-    def test_matches_saturation_route(self):
-        # dual route: minimal-prime intersection versus power-then-saturate
+    def test_matches_primary_meet_route(self):
+        # dual route: the cover algebra versus the meet of primary components
+        # that non-squarefree ideals take
         rng = random.Random(59)
-        maxl = {
-            n: MonomialIdeal.from_gens(
-                n, [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-            )
-            for n in (3, 4)
-        }
         for _ in range(10):
-            n = rng.choice((3, 4))
-            c = random_antichain_complex(rng, n)
-            if any(len(f) == n for f in c.facets):
-                continue  # a full-support facet makes the maximal ideal minimal
-            ideal = cover_ideal(c)
+            ideal = cover_ideal(random_antichain_complex(rng, rng.choice((3, 4))))
             for k in (2, 3):
-                assert squarefree_symbolic_power(ideal, k) == ideal.symbolic_power(
-                    k, maxl[n]
-                )
+                assert symbolic_power(ideal, k) == algebra._primary_meet(ideal, k)
 
 
 class TestSkeleton:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from coveralg.algebra import compare_powers, squarefree_symbolic_power
+from coveralg.algebra import compare_powers, symbolic_power
 from coveralg.complexes import WeightedComplex, cover_complex, is_cover
 from coveralg.cone import build_cone, hilbert_basis
 from coveralg.errors import InternalError
@@ -208,7 +208,7 @@ def test_a_sum_past_the_field_width_raises():
 @small
 @given(squarefree_ideals(), st.integers(1, 4))
 def test_symbolic_power_matches_intersection(ideal, k):
-    assert squarefree_symbolic_power(
+    assert symbolic_power(
         ideal, k
     ) == oracles.symbolic_power_by_intersection(ideal, k)
 
