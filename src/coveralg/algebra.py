@@ -2,7 +2,8 @@
 
 The generator list of a complex is the positive-degree part of the cover
 cone's Hilbert basis. Symbolic powers of squarefree ideals are read off
-that list, and those of other monomial ideals are met from their primary
+that list, but an edge ideal's below its odd girth are its ordinary
+powers, and those of other monomial ideals are met from their primary
 components. Degree bounds with irrational closed forms are handled by
 squared-integer comparators so every verdict is exact.
 """
@@ -103,15 +104,61 @@ def symbolic_power(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
 
     Only minimal primes count, so an embedded component of I^k drops out:
     (x1^2, x1 x2) has the one minimal prime (x1) and I^(2) = (x1^2). A
-    squarefree I is read off its cover algebra (`_symbolic_power`). Any
-    other I is met as the intersection of the Q_P^k, Q_P being I with the
-    variables outside P set to 1, its P-primary component.
+    squarefree I is read off its cover algebra (`_symbolic_power`), but
+    the edge ideal of a graph with no odd cycle of at most 2k - 1 edges
+    has I^(k) = I^k, formed by `MonomialIdeal.power` (`_below_odd_girth`).
+    Any other I is met as the intersection of the Q_P^k, Q_P being I with
+    the variables outside P set to 1, its P-primary component.
     """
     if checked_int(k, "symbolic power order") < 1:
         raise ValueError(f"symbolic power order must be >= 1, got {k}")
-    if ideal.is_squarefree:
-        return _symbolic_power(ideal, k)[0]
-    return _primary_meet(ideal, k)
+    if not ideal.is_squarefree:
+        return _primary_meet(ideal, k)
+    if _below_odd_girth(ideal, k):
+        return ideal.power(k)
+    return _symbolic_power(ideal, k)[0]
+
+
+def _below_odd_girth(ideal: MonomialIdeal, k: int) -> bool:
+    """Whether a squarefree I is the edge ideal of a graph with no odd cycle
+    of at most 2k - 1 edges, so that I^(k) = I^k.
+
+    For a graph of odd girth 2s + 1, I^(j) = I^j exactly for j <= s, and
+    for a bipartite graph for every j (Simis, Vasconcelos and Villarreal,
+    J. Algebra 167 (1994); Janssen, Kamp, Vander Meulen and Van Tuyl,
+    "Comparing powers of edge ideals", J. Algebra Appl. (2020)). The tests
+    check this against the cover-algebra pass on random graphs of up to 9
+    vertices, at k = s and s + 1.
+
+    Such a cycle exists iff some vertex r has an odd closed walk of at
+    most 2k - 1 edges. A breadth-first search from r on the pairs (vertex,
+    parity of the walk), the vertices of each parity a bitmask, finds the
+    shortest, stopping when its frontier empties.
+    """
+    if any(sum(g) != 2 for g in ideal.gens):
+        return False
+    adjacent = [0] * ideal.n
+    for g in ideal.gens:
+        u, v = (i for i, e in enumerate(g) if e)
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    for root in range(ideal.n):
+        if not adjacent[root] & (adjacent[root] - 1):
+            continue  # fewer than two neighbours: on no cycle
+        frontier = 1 << root
+        seen = [frontier, 0]  # reached by a walk of even, of odd length
+        for length in range(1, 2 * k):
+            step = 0
+            while frontier:
+                step |= adjacent[(frontier & -frontier).bit_length() - 1]
+                frontier &= frontier - 1
+            frontier = step & ~seen[length & 1]
+            if not frontier:
+                break
+            if frontier >> root & 1:  # at an odd length, as seen[0] holds root
+                return False
+            seen[length & 1] |= frontier
+    return True
 
 
 def _primary_meet(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -202,17 +249,19 @@ def compare_powers(ideal: MonomialIdeal, k: int) -> PowerComparison:
     """Compare the k-th ordinary and symbolic powers of a monomial ideal.
 
     On strict containment, the witness is the (degree, lex)-least symbolic
-    generator outside the ordinary power. For a squarefree I, the pass that
-    builds I^(k) keeps, by induction, each cover's least last-summand index.
-    The cover lies in I^k, as a sum of k generators of I, iff that summand
-    has degree 1. For any other I, I^k lies in I^(k), so a generator of
-    I^(k) that lies in I^k is a generator of I^k, and the witness is the
-    first generator of I^(k) that is no generator of I^k.
+    generator outside the ordinary power. An edge ideal below its odd
+    girth has equal powers (`_below_odd_girth`) and forms neither. For any
+    other squarefree I, the pass that builds I^(k) keeps, by induction,
+    each cover's least last-summand index. The cover lies in I^k, as a sum
+    of k generators of I, iff that summand has degree 1. For any other I,
+    I^k lies in I^(k), so a generator of I^(k) that lies in I^k is a
+    generator of I^k, and the witness is the first generator of I^(k) that
+    is no generator of I^k.
     """
     if checked_int(k, "power") < 1:
         raise ValueError(f"power must be >= 1, got {k}")
     if ideal.is_squarefree:
-        witness = _symbolic_power(ideal, k)[1]
+        witness = None if _below_odd_girth(ideal, k) else _symbolic_power(ideal, k)[1]
     else:
         ordinary = set(ideal.power(k).gens)
         witness = next(

@@ -20,9 +20,9 @@ one `struct` call and written with one `from_bytes` (`field_codec`).
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, reduce
 from itertools import chain
-from operator import lshift
+from operator import lshift, or_
 from struct import Struct
 from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
@@ -79,15 +79,19 @@ class Packing:
         degree: a vector can only lie above one of strictly lower degree.
         So one pass in int order tests each vector against the kept
         vectors of lower degree only, never against those of its own
-        degree; vectors that all share one degree need no test at all.
+        degree, and a set that spans one degree is returned as it is
+        sorted. The guard bits are checked once, on the OR of the set.
         """
         guards, at = self.guards, self.degree_at
+        vectors = sorted(dict.fromkeys(packed))  # a set's order would slow the sort
+        if overflow := reduce(or_, vectors, 0) & guards:
+            raise InternalError(f"a packed sum overflowed its field: {overflow:#x}")
+        if not vectors or vectors[0] >> at == vectors[-1] >> at:
+            return vectors
         lower: list[int] = []  # kept vectors of lower degree than v
         level: list[int] = []  # kept vectors of v's degree
         degree = -1
-        for v in sorted(set(packed)):
-            if v & guards:
-                raise InternalError(f"a packed sum overflowed its field: {v:#x}")
+        for v in vectors:
             if v >> at != degree:
                 degree = v >> at
                 lower += level
@@ -239,15 +243,34 @@ class MonomialIdeal(NamedTuple):
     __add__ = __mul__ = __rmul__ = __contains__ = _refuse
 
     def power(self, k: int) -> MonomialIdeal:
-        """k-th ordinary power as k products by I, k=0 gives the unit ideal."""
+        """k-th ordinary power, k=0 gives the unit ideal.
+
+        Level j maps each minimal product of j generators to the least
+        index of its last factor, factors in generator order, and is filled
+        in that order. Generator i is added only to the products of level
+        j - 1 whose last factor is at most i, the scan stopping at the first
+        one past i, so each multiset of factors is formed once. A minimal
+        g_i + s, g_i its last factor, has s minimal (else it lies above some
+        g_i + s'), so keeping only minimal products loses none.
+        """
         if checked_int(k, "power exponent") < 0:
             raise ValueError(f"power exponent must be >= 0, got {k}")
         packing = Packing(self.n, k * _top(self.gens))  # one packing for I^j, j <= k
-        result = [0]  # the unit ideal
         base = list(map(packing.pack, self.gens))
+        kept, level = [0], {0: 0}  # the unit ideal
         for _ in range(k):
-            result = packing.minimal(f + g for f in result for g in base)
-        return MonomialIdeal(self.n, tuple(map(packing.unpack, result)))
+            products: dict[int, int] = {}
+            for i, g in enumerate(base):
+                for s, last in level.items():
+                    if last > i:
+                        break
+                    products.setdefault(g + s, i)
+            kept = packing.minimal(products)
+            if len(kept) < len(products):
+                keep = set(kept)
+                products = {s: i for s, i in products.items() if s in keep}
+            level = products
+        return MonomialIdeal(self.n, tuple(map(packing.unpack, kept)))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "gens": [list(g) for g in self.gens]}

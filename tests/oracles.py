@@ -3,10 +3,11 @@
 Everything here recomputes answers from first principles (definitions,
 enumeration, exhaustive scans) or by a second algorithm (symbolic powers
 by intersecting prime powers or by scanning a box, the symbolic-ordinary
-comparison by forming the ordinary power, the Gorenstein property by the
-Danilov-Stanley count of the interior's minimal points, standard
-gradedness by the degrees of the cover cone's basis, and the primal
-Hilbert-basis engine at the end)
+comparison by forming the ordinary power from every sum of k generators,
+the odd girth of a graph by a search of its parity-doubled graph, the
+Gorenstein property by the Danilov-Stanley count of the interior's
+minimal points, standard gradedness by the degrees of the cover cone's
+basis, and the primal Hilbert-basis engine at the end)
 without calling the code paths under test, so a test comparing the two
 sides is a genuine cross-check. Helpers that only the tests use live here
 too: the skeletons of a simplex, Veronese weight scaling, the facet ideal
@@ -25,7 +26,7 @@ from itertools import combinations, combinations_with_replacement, product as ca
 from math import gcd, isqrt
 from typing import Iterable, Sequence
 
-from coveralg.algebra import symbolic_power
+from coveralg.algebra import _symbolic_power
 from coveralg.complexes import CoverPoint, WeightedComplex
 from coveralg.cone import ConeSystem
 from coveralg.errors import DimensionMismatch
@@ -220,6 +221,32 @@ def odd_cycle_domination(graph: WeightedComplex) -> bool:
             if not adj[i] & on_cycle:
                 return False
     return True
+
+
+def odd_girth(n: int, edges: Iterable[Sequence[int]]) -> int | None:
+    """The length of a shortest odd cycle of a graph, None if it has none.
+
+    A breadth-first search from each vertex r on the parity-doubled graph,
+    whose states are (vertex, parity of the walk so far): the shortest odd
+    closed walk from r to r is the distance to (r, odd), and a shortest
+    odd closed walk of the graph is a cycle.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    best = None
+    for r in range(n):
+        dist = {(r, 0): 0}
+        queue = [(r, 0)]
+        for u, parity in queue:  # grows as it is read: first in, first out
+            for v in adj[u]:
+                if (v, 1 - parity) not in dist:
+                    dist[v, 1 - parity] = dist[u, parity] + 1
+                    queue.append((v, 1 - parity))
+        if (r, 1) in dist and (best is None or dist[r, 1] < best):
+            best = dist[r, 1]
+    return best
 
 
 # --- symbolic powers by intersection ----------------------------------------
@@ -435,10 +462,17 @@ def compare_by_ordinary_power(ideal: MonomialIdeal, k: int) -> tuple:
     I^k lies in I^(k). So if a generator g of I^(k) lies in I^k, a
     generator h of I^k divides g and a generator of I^(k) divides h; in an
     antichain that one is g, so g = h. The witness is the first generator
-    of I^(k), in (degree, lex) order, that is no generator of I^k.
+    of I^(k), in (degree, lex) order, that is no generator of I^k. I^k is
+    formed from every sum of k generators, not by `MonomialIdeal.power`,
+    and I^(k) by the cover-algebra pass for a squarefree I, which
+    `symbolic_power` skips on an edge ideal below its odd girth, and by the
+    box scan for any other I.
     """
-    ordinary = set(ideal.power(k).gens)
-    symbolic = symbolic_power(ideal, k)
+    ordinary = set(MonomialIdeal.from_gens(ideal.n, _sums(ideal.gens, k)).gens)
+    if ideal.is_squarefree:
+        symbolic = _symbolic_power(ideal, k)[0]
+    else:
+        symbolic = symbolic_power_by_box(ideal, k)
     witness = next((g for g in symbolic.gens if g not in ordinary), None)
     return witness is None, witness
 

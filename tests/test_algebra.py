@@ -88,6 +88,17 @@ class TestGenerators:
                 pres = algebra.generators(skeleton(n, j))
                 assert pres.generators == skeleton_generators(n, j)
 
+    def test_odd_cycle_closed_form(self):
+        # the minimal vertex covers of C_(2s+1): their algebra has the edges in
+        # degree 1 and x1...xn, which meets each cover in s + 1 vertices
+        for n in range(3, 16, 2):
+            edges = face_ideal(n, cycle(n))
+            pres = algebra.generators(cover_complex(edges))
+            assert not pres.truncated
+            assert pres.generators == tuple(
+                CoverPoint(e, 1) for e in edges.gens
+            ) + (CoverPoint((1,) * n, n // 2 + 1),)
+
     def test_degree_one_generators_are_cover_ideal_generators(self):
         rng = random.Random(7)
         for _ in range(10):
@@ -446,9 +457,12 @@ class TestComparePowers:
             algebra.compare_powers(face_ideal(3, cycle(3)), k)
 
     def test_odd_cycle_witness_is_all_variables(self):
-        # C_(2m+1) needs m + 1 of its vertices in every vertex cover
-        for n in (5, 7, 9):
-            result = algebra.compare_powers(face_ideal(n, cycle(n)), n // 2 + 1)
+        # C_(2s+1) needs s + 1 of its vertices in every vertex cover, and
+        # its powers agree up to s
+        for n in range(3, 14, 2):
+            edges = face_ideal(n, cycle(n))
+            assert algebra.compare_powers(edges, n // 2) == (True, None)
+            result = algebra.compare_powers(edges, n // 2 + 1)
             assert result == (False, (1,) * n)
 
     def test_matches_ordinary_power_route_on_random_ideals(self):
@@ -636,3 +650,87 @@ class TestSymbolicPowerOfGraphCoverIdeals:
             assert (oracles.compare_by_ordinary_power(ideal, 2)[0]
                     == bipartition(graph).is_bipartite), edges
         assert witnesses == {True, False}
+
+
+class TestEdgeIdealsBelowOddGirth:
+    # I^(k) = I^k for the edge ideal of a graph with no odd cycle of at most
+    # 2k - 1 edges, and there symbolic_power and compare_powers run no
+    # completion; the odd girth comes from the oracle's own search
+    @pytest.fixture
+    def completions(self, monkeypatch):
+        caps = []
+
+        def spy(system, degree_cap):
+            caps.append(degree_cap)
+            return tight_points(system, degree_cap)
+
+        monkeypatch.setattr(algebra, "tight_points", spy)
+        return caps
+
+    @staticmethod
+    def agree(completions, n, edges, k, box=False):
+        """Both entry points against the cover-algebra pass; whether I^(k) = I^k."""
+        ideal = face_ideal(n, edges)
+        girth = oracles.odd_girth(n, edges)
+        below = girth is None or 2 * k - 1 < girth
+        sym, witness = algebra._symbolic_power(ideal, k)
+        completions.clear()
+        assert algebra.symbolic_power(ideal, k) == sym, (edges, k)
+        assert tuple(algebra.compare_powers(ideal, k)) == (witness is None, witness)
+        assert len(completions) == (0 if below or not edges else 2), (edges, k)
+        assert (witness is None) == below, (edges, k)
+        if box:
+            assert sym == oracles.symbolic_power_by_box(ideal, k), (edges, k)
+            assert oracles.compare_by_box(ideal, k) == (witness is None, witness)
+        return below
+
+    def test_random_graphs_on_each_side_of_the_bound(self, completions):
+        rng = random.Random(239)
+        girths, sides = set(), set()
+        for _ in range(300):
+            # an odd cycle, or none, trees hung on it and maybe one more edge
+            n = rng.randint(2, 9)
+            order = rng.sample(range(n), n)
+            odd = [m for m in (3, 5, 7, 9) if m <= n and rng.random() < 0.7]
+            length = rng.choice(odd) if odd else 0
+            edges = {tuple(sorted((order[i], order[i - 1]))) for i in range(length)}
+            edges |= {
+                tuple(sorted((v, rng.choice(order[:i]))))
+                for i, v in enumerate(order)
+                if i >= max(length, 1) and rng.random() < 0.8
+            }
+            if rng.random() < 0.5:
+                edges.add(tuple(sorted(rng.sample(range(n), 2))))
+            girth = oracles.odd_girth(n, edges)
+            girths.add(girth)
+            s = girth // 2 if girth else rng.randint(1, 2)
+            for k in (s, s + 1):
+                sides.add(self.agree(completions, n, sorted(edges), k, box=n <= 5))
+        assert {None, 3, 5, 7, 9} <= girths
+        assert sides == {True, False}
+
+    def test_petersen_graph_has_odd_girth_five(self, completions):
+        assert oracles.odd_girth(10, PETERSEN) == 5
+        assert self.agree(completions, 10, PETERSEN, 2)
+        assert not self.agree(completions, 10, PETERSEN, 3)
+
+    def test_isolated_vertices(self, completions):
+        # C_5 on x2..x6 of seven variables
+        edges = [(i + 1, (i + 1) % 5 + 1) for i in range(5)]
+        assert self.agree(completions, 7, edges, 2)
+        assert not self.agree(completions, 7, edges, 3)
+        witness = algebra.compare_powers(face_ideal(7, edges), 3).witness
+        assert witness == (0, 1, 1, 1, 1, 1, 0)
+
+    def test_components_of_different_odd_girth(self, completions):
+        # C_7 on x1..x7 and C_5 on x8..x12: the shorter cycle sets the bound
+        edges = cycle(7) + [(7 + i, 7 + (i + 1) % 5) for i in range(5)]
+        assert oracles.odd_girth(12, edges) == 5
+        assert self.agree(completions, 12, edges, 2)
+        assert not self.agree(completions, 12, edges, 3)
+
+    def test_zero_ideal(self, completions):
+        zero = oracles.zero(4)
+        assert algebra.symbolic_power(zero, 3) == zero
+        assert algebra.compare_powers(zero, 3) == (True, None)
+        assert completions == []

@@ -141,6 +141,11 @@ class TestPackingWidths:
             assert packing.minimal([x]) == [x]
             with pytest.raises(InternalError):
                 packing.minimal([x + x])
+            # a set of one degree is returned as it is sorted, guard bits checked
+            level = packing.pack((top, top, 2 * sum(v) - 2 * top))
+            assert level >> packing.degree_at == (x + x) >> packing.degree_at
+            with pytest.raises(InternalError):
+                packing.minimal([level, x + x])
 
     def test_exponents_past_64_bits(self):
         big = 2**70
@@ -232,6 +237,23 @@ class TestMultiplyPowerSum:
             for _ in range(k):
                 naive = oracles.product(naive, i)
             assert i.power(k) == naive
+
+    def test_power_of_mixed_degrees_matches_minimal_sums(self):
+        # every sum of k generators, minimalised pair by pair; in (x^2, xy, y^2)
+        # the factors x^2 * y^2 and xy * xy make one product
+        rng = random.Random(13)
+        cases = [(((2, 0), (1, 1), (0, 2)), k) for k in range(1, 6)]
+        while len(cases) < 205:
+            n = rng.randint(1, 5)
+            gens = [
+                tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 4))
+            ]
+            if len({sum(g) for g in gens}) > 1:
+                cases.append((gens, rng.randint(1, 5)))
+        for gens, k in cases:
+            i = MonomialIdeal.from_gens(len(gens[0]), gens)
+            want = oracles.minimal_elements(oracles._sums(i.gens, k))
+            assert i.power(k).gens == want, (gens, k)
 
     def test_sum_is_union(self):
         a = ideal(2, (2, 0))
