@@ -1,22 +1,24 @@
 """Graded presentations of cover algebras, symbolic powers, degree bounds.
 
 The generator list of a complex is the positive-degree part of the cover
-cone's Hilbert basis. Symbolic powers of squarefree ideals are read off
-that list, but an edge ideal's below its odd girth are its ordinary
-powers, and those of other monomial ideals are met from their primary
-components. Degree bounds with irrational closed forms are handled by
-squared-integer comparators so every verdict is exact.
+cone's Hilbert basis, or the paper's closed form where the complex is all
+s-subsets of a vertex set (`complexes.skeleton_covers`). Symbolic powers
+of squarefree ideals are read off that list, but an edge ideal's below
+its odd girth are its ordinary powers, and those of other monomial
+ideals are met from their primary components. Degree bounds with
+irrational closed forms are handled by squared-integer comparators so
+every verdict is exact.
 """
 
 from __future__ import annotations
 
 from functools import cache, reduce
 from math import isqrt
-from operator import or_
+from operator import and_, or_
 from typing import NamedTuple
 
-from .complexes import CoverPoint, WeightedComplex, cover_complex
-from .cone import build_cone, hilbert_basis, tight_points
+from .complexes import CoverPoint, WeightedComplex, cover_complex, skeleton_covers, skeleton_shape
+from .cone import build_cone, checked_cap, hilbert_basis, tight_points
 from .errors import InternalError, TruncatedPresentation
 from .monomial import ExpVec, MonomialIdeal, Packing, checked_int, minimal_elements
 
@@ -37,8 +39,9 @@ def _completion_cap(
     """The completion's cap, and whether it proves the basis whole: a graph
     with unit weights has its algebra generated in degree <= 2 (Herzog, Hibi
     and Trung, Adv. Math. 210 (2007)), so there a cap of None or above 2 is 2."""
+    cap = checked_cap(cap)
     graph = complex_.non_edge is None and complex_.has_canonical_weights
-    whole = graph and (cap is None or checked_int(cap, "degree cap") >= 2)
+    whole = graph and (cap is None or cap >= 2)
     return 2 if whole else cap, whole
 
 
@@ -48,8 +51,13 @@ def generators(
     """Minimal algebra generators, by degree and then coordinates.
 
     They are the positive-degree Hilbert basis points at `_completion_cap`'s cap.
+    A complex of all s-subsets of a vertex set takes the closed form instead
+    (`skeleton_covers`), which proves its generators end at degree s.
     """
     cap, whole = _completion_cap(complex_, degree_cap)
+    if shape := skeleton_shape(complex_):
+        gens = skeleton_covers(complex_.n, *shape, cap)
+        return AlgebraPresentation(complex_, gens, cap is not None and cap < shape[1])
     basis = hilbert_basis(build_cone(complex_), cap)
     gens = tuple(CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1] > 0)
     return AlgebraPresentation(complex_, gens, basis.truncated and not whole)
@@ -171,6 +179,22 @@ def _primary_meet(ideal: MonomialIdeal, k: int) -> MonomialIdeal:
     ))
 
 
+def _skeleton_tight_points(
+    complex_: WeightedComplex, vertices: tuple[int, ...], s: int, cap: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """`cone.tight_points` of the complex of all s-subsets of V, read off the
+    closed form: a 0/1 generator of degree q meets a facet F in q vertices,
+    so that its slack there is 0, iff F holds the s - q vertices of V it misses."""
+    rows_at = [  # vertex -> the rows whose facet holds it
+        sum(1 << r for r, f in enumerate(complex_.facets) if v in f) for v in range(complex_.n)
+    ]
+    every_row = (1 << len(complex_.facets)) - 1
+    return [
+        ((*a, q), reduce(and_, (rows_at[v] for v in vertices if not a[v]), every_row))
+        for a, q in skeleton_covers(complex_.n, vertices, s, cap)
+    ]
+
+
 def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec | None]:
     """I^(k) of a squarefree I, k >= 1, and its least generator outside I^k, or None.
 
@@ -195,7 +219,9 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
     its support lies in a prime P with a(P) = j, and since g.a(P) >= deg g
     and s(P) >= j - deg g, those tight primes are the ones tight for both
     g and s. A generator's tight primes are the cover-cone rows where its
-    slack is 0, read off the completion by `cone.tight_points`. Each cover
+    slack is 0, read off the completion by `cone.tight_points`, or off the
+    closed form where the primes are all s-subsets of a vertex set
+    (`_skeleton_tight_points`). Each cover
     carries its tight primes and its support as bitmasks, so the test takes
     a few integer operations per sum and no antichain is formed.
     """
@@ -204,7 +230,10 @@ def _symbolic_power(ideal: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ExpVec
     cover = cover_complex(ideal)
     prime_masks = [sum(1 << v for v in p) for p in cover.facets]
     packing = Packing(ideal.n, k)  # a minimal j-cover has coordinates <= j
-    points = tight_points(build_cone(cover), _completion_cap(cover, k)[0])
+    if shape := skeleton_shape(cover):
+        points = _skeleton_tight_points(cover, *shape, k)
+    else:
+        points = tight_points(build_cone(cover), _completion_cap(cover, k)[0])
     gens = [  # (packed a, degree, tight primes, support)
         (packing.pack(a), deg, tight, sum(1 << v for v, e in enumerate(a) if e))
         for (*a, deg), tight in points

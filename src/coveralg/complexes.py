@@ -9,7 +9,8 @@ every facet F satisfies sum(a[i] for i in F) >= k * weight(F).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from math import comb
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, InvalidComplex
 from .monomial import (
@@ -168,22 +169,52 @@ def cover_complex(ideal: MonomialIdeal) -> WeightedComplex:
     return WeightedComplex(ideal.n, tuple(primes), (1,) * len(primes))
 
 
-def skeleton_generators(n: int, j: int) -> tuple[CoverPoint, ...]:
-    """Closed-form algebra generators for skeleton(n, j).
+def skeleton_shape(complex_: WeightedComplex) -> tuple[tuple[int, ...], int] | None:
+    """(V, s) when the facets, with unit weights, are all the s-subsets of
+    their union V and 1 <= s < |V|, so that `skeleton_covers` applies.
 
-    For each degree q in 1..j+1, every squarefree vector supported on
-    n-j+q-1 vertices, sorted the same way the cone engine sorts output.
+    `validate` sorts facets by size, so the first and last sizes rule out
+    most complexes at once; distinct s-subsets of V are all of them exactly
+    when there are comb(|V|, s).
     """
+    facets = complex_.facets
+    if not facets or len(facets[0]) != len(facets[-1]):
+        return None
+    s, vertices = len(facets[0]), frozenset().union(*facets)
+    if s < len(vertices) and len(facets) == comb(len(vertices), s) \
+            and complex_.has_canonical_weights:
+        return tuple(sorted(vertices)), s
+    return None
+
+
+def skeleton_covers(
+    n: int, vertices: Sequence[int], s: int, cap: int | None = None
+) -> tuple[CoverPoint, ...]:
+    """The cover algebra's generators up to degree cap, for the complex of
+    all s-subsets of the sorted vertices V, 1 <= s < |V|, with unit weights.
+
+    The paper's closed form (Herzog, Hibi and Trung, Adv. Math. 210 (2007)):
+    in each degree q = 1..s, the 0/1 vectors that are 1 on V but for s - q
+    of its vertices, and 0 off V. The missing vertices in `combinations`
+    order give each degree's vectors in increasing order, as the engine's.
+    """
+    top, base = s if cap is None else min(cap, s), [0] * n
+    for v in vertices:
+        base[v] = 1
+    out = []
+    for q in range(1, top + 1):
+        for missing in combinations(vertices, s - q):
+            a = base.copy()
+            for v in missing:
+                a[v] = 0
+            out.append(CoverPoint(tuple(a), q))
+    return tuple(out)
+
+
+def skeleton_generators(n: int, j: int) -> tuple[CoverPoint, ...]:
+    """Closed-form algebra generators of skeleton(n, j), all (j + 1)-subsets
+    of the n vertices: `skeleton_covers` with V all of them."""
     n, j = checked_ints((n, j), "skeleton parameter")
     if not 0 <= j <= n - 2:
         raise ValueError(f"need 0 <= j <= n-2, got n={n}, j={j}")
-    out = []
-    for q in range(1, j + 2):
-        size = n - j + q - 1
-        for verts in combinations(range(n), size):
-            v = [0] * n
-            for i in verts:
-                v[i] = 1
-            out.append(CoverPoint(tuple(v), q))
-    out.sort(key=lambda p: (p.k, p.a))
-    return tuple(out)
+    return skeleton_covers(n, range(n), j + 1)

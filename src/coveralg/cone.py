@@ -253,13 +253,19 @@ def _cut(
     return kept, skipped
 
 
+def checked_cap(cap: int | None) -> int | None:
+    """A degree cap, None or an int >= 0; anything else raises ValueError."""
+    if cap is not None and checked_int(cap, "degree cap") < 0:
+        raise ValueError(f"degree cap must be >= 0, got {cap}")
+    return cap
+
+
 def _complete(system: ConeSystem, cap: int | None) -> tuple[list[int], int, int, bool]:
     """The packed basis, its field count and width, and the truncated flag:
     the unit vectors cut by each row in turn, each field widened and the cut
     redone on an overflow (`_cut`). Field i < dim holds coordinate i, and
     field dim + r the slack on rows[r]."""
-    if cap is not None and checked_int(cap, "degree cap") < 0:
-        raise ValueError(f"degree cap must be >= 0, got {cap}")
+    checked_cap(cap)
     width = _START_WIDTH
     basis = [1 << i * width for i in range(system.dim)]
     fields = system.dim

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product as cartesian
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Iterable, Sequence
 
 from coveralg.algebra import _symbolic_power
@@ -456,6 +456,18 @@ def symbolic_power_by_intersection(ideal: MonomialIdeal, k: int) -> MonomialIdea
     return result
 
 
+def primes_are_a_skeleton(ideal: MonomialIdeal) -> bool:
+    """Whether the minimal primes of I, by `minimal_hitting_sets`, are all
+    the s-subsets of their union V with s < |V|."""
+    primes = minimal_hitting_sets(
+        ideal.n, [[i for i, e in enumerate(g) if e] for g in ideal.gens]
+    )
+    vertices = frozenset().union(*primes)
+    sizes = {len(p) for p in primes}
+    return len(sizes) == 1 and min(sizes) < len(vertices) \
+        and len(primes) == comb(len(vertices), min(sizes))
+
+
 def compare_by_ordinary_power(ideal: MonomialIdeal, k: int) -> tuple:
     """(equal, witness) of `compare_powers` by forming I^k as well.
 
@@ -463,16 +475,19 @@ def compare_by_ordinary_power(ideal: MonomialIdeal, k: int) -> tuple:
     generator h of I^k divides g and a generator of I^(k) divides h; in an
     antichain that one is g, so g = h. The witness is the first generator
     of I^(k), in (degree, lex) order, that is no generator of I^k. I^k is
-    formed from every sum of k generators, not by `MonomialIdeal.power`,
-    and I^(k) by the cover-algebra pass for a squarefree I, which
-    `symbolic_power` skips on an edge ideal below its odd girth, and by the
-    box scan for any other I.
+    formed from every sum of k generators, not by `MonomialIdeal.power`.
+    I^(k) of a squarefree I comes from the cover-algebra pass, which
+    `symbolic_power` skips on an edge ideal below its odd girth, or, where
+    the pass reads the closed form instead (`primes_are_a_skeleton`), from
+    `symbolic_power_by_intersection`. Any other I takes the box scan.
     """
     ordinary = set(MonomialIdeal.from_gens(ideal.n, _sums(ideal.gens, k)).gens)
-    if ideal.is_squarefree:
-        symbolic = _symbolic_power(ideal, k)[0]
-    else:
+    if not ideal.is_squarefree:
         symbolic = symbolic_power_by_box(ideal, k)
+    elif primes_are_a_skeleton(ideal):
+        symbolic = symbolic_power_by_intersection(ideal, k)
+    else:
+        symbolic = _symbolic_power(ideal, k)[0]
     witness = next((g for g in symbolic.gens if g not in ordinary), None)
     return witness is None, witness
 

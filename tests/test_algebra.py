@@ -8,7 +8,7 @@ import pytest
 import oracles
 from coveralg import algebra
 from coveralg.complexes import (
-    CoverPoint, WeightedComplex, cover_complex, skeleton_generators,
+    CoverPoint, WeightedComplex, cover_complex, skeleton_generators, skeleton_shape,
 )
 from coveralg.cone import build_cone, hilbert_basis, tight_points
 from coveralg.errors import InvalidComplex, TruncatedPresentation
@@ -83,10 +83,13 @@ class TestGenerators:
         )
 
     def test_skeletons_match_closed_form(self):
+        # the engine itself, as generators takes the closed form on skeletons
         for n in range(2, 6):
             for j in range(0, n - 1):
-                pres = algebra.generators(skeleton(n, j))
-                assert pres.generators == skeleton_generators(n, j)
+                basis = hilbert_basis(build_cone(skeleton(n, j)))
+                assert not basis.truncated
+                engine = tuple(CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1])
+                assert engine == skeleton_generators(n, j)
 
     def test_odd_cycle_closed_form(self):
         # the minimal vertex covers of C_(2s+1): their algebra has the edges in
@@ -161,13 +164,145 @@ class TestUnitWeightGraphCap:
         assert max(p[-1] for p in hilbert_basis(build_cone(c5)).points) == 2
 
     def test_other_complexes_keep_the_callers_cap(self, caps):
-        # weights above 1, or a facet that is no edge: no degree-2 theorem
-        for c in (veronese(triangle(), 3), skeleton(5, 2),
+        # weights above 1, or a facet that is no edge: no degree-2 theorem;
+        # skeleton(5, 2) less one facet is no skeleton either
+        for c in (veronese(triangle(), 3), without_first_facet(skeleton(5, 2)),
                   WeightedComplex.validate(3, [(0,), (1, 2)])):
             for cap in (None, 1, 2, 3):
                 caps.clear()
                 algebra.generators(c, cap)
                 assert caps == [cap], (c, cap)
+        # skeleton(5, 2) itself takes the closed form and runs no completion
+        for cap in (None, 1, 2, 3):
+            caps.clear()
+            assert algebra.generators(skeleton(5, 2), cap).truncated == (cap in (1, 2))
+            assert caps == [], cap
+
+
+def without_first_facet(c):
+    return WeightedComplex.validate(c.n, c.facets[1:], c.weights[1:])
+
+
+def veronese_ideal(n, d):
+    """I_{n,d}: every squarefree monomial of degree d in n variables."""
+    return face_ideal(n, combinations(range(n), d))
+
+
+class TestSkeletonRoute:
+    # a complex of all s-subsets of its vertex union V, 1 <= s < |V|, unit
+    # weights, takes the closed form in generators and in the symbolic pass;
+    # the engine decides everything else
+
+    @staticmethod
+    def skeletons():
+        """Every such complex with |V| <= 8, with 0 to 2 vertices outside V."""
+        rng = random.Random(35)
+        for m in range(2, 9):
+            for s in range(1, m):
+                for outside in range(3):
+                    n = m + outside
+                    vertices = sorted(rng.sample(range(n), m))
+                    yield WeightedComplex.validate(n, combinations(vertices, s)), vertices, s
+
+    @pytest.fixture
+    def engine(self, monkeypatch):
+        """The names of the engine entry points algebra calls, in call order."""
+        calls = []
+
+        def basis_spy(system, degree_cap=None):
+            calls.append("hilbert_basis")
+            return hilbert_basis(system, degree_cap)
+
+        def tight_spy(system, degree_cap):
+            calls.append("tight_points")
+            return tight_points(system, degree_cap)
+
+        monkeypatch.setattr(algebra, "hilbert_basis", basis_spy)
+        monkeypatch.setattr(algebra, "tight_points", tight_spy)
+        return calls
+
+    def test_closed_form_matches_the_engine(self, engine):
+        cases = 0
+        for c, vertices, s in self.skeletons():
+            assert skeleton_shape(c) == (tuple(vertices), s)
+            cone = build_cone(c)
+            whole = hilbert_basis(cone)
+            assert not whole.truncated and whole.points[-1][-1] == s
+            for cap in range(s + 2):
+                basis = hilbert_basis(cone, cap)
+                pres = algebra.generators(c, cap)
+                assert pres.generators == tuple(
+                    CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1]
+                ), (c, cap)
+                assert pres.truncated == (cap < s)
+                # the tight masks of the symbolic pass, at k = cap
+                assert algebra._skeleton_tight_points(c, tuple(vertices), s, cap) == (
+                    tight_points(cone, cap)
+                ), (c, cap)
+                cases += 1
+            assert algebra.generators(c).generators == algebra.generators(c, s).generators
+        # the engine ran only in this test's own direct calls
+        assert engine == []
+        assert cases == 420
+
+    def test_squarefree_veronese_ideals_match_the_box(self, engine):
+        # I_{n,d} has all (n - d + 1)-subsets as minimal primes; d = 1 gives
+        # the maximal ideal, whose one prime is the full simplex: the engine
+        outcomes = set()
+        for n in range(1, 6):
+            for d in range(1, n + 1):
+                ideal = veronese_ideal(n, d)
+                for k in range(1, 4):
+                    engine.clear()
+                    sym = algebra.symbolic_power(ideal, k)
+                    assert sym == oracles.symbolic_power_by_box(ideal, k), (n, d, k)
+                    expected = oracles.compare_by_box(ideal, k)
+                    assert tuple(algebra.compare_powers(ideal, k)) == expected, (n, d, k)
+                    outcomes.add(expected[0])
+                    # K_n's edge ideal at k = 1 takes I^(1) = I, below its odd girth
+                    assert engine == ([] if d > 1 else ["tight_points"] * 2), (n, d, k)
+        assert outcomes == {True, False}
+
+    def test_near_misses_take_the_engine(self, engine):
+        full = skeleton(6, 2)
+        misses = {
+            "one facet dropped": without_first_facet(full),
+            "one weight of 2": WeightedComplex.validate(
+                6, full.facets, (2,) + full.weights[1:]
+            ),
+            "mixed facet sizes": WeightedComplex.validate(
+                6, [(0, 1), (0, 2), (1, 2), (3, 4, 5)]
+            ),
+            "two skeletons side by side": WeightedComplex.validate(
+                6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+            ),
+            "the full simplex": WeightedComplex.validate(4, [(0, 1, 2, 3)]),
+        }
+        for name, c in misses.items():
+            assert skeleton_shape(c) is None, name
+            for cap in (None, 1, 3):
+                engine.clear()
+                pres = algebra.generators(c, cap)
+                assert engine == ["hilbert_basis"], (name, cap)
+                basis = hilbert_basis(build_cone(c), cap)
+                assert pres.generators == tuple(
+                    CoverPoint(p[:-1], p[-1]) for p in basis.points if p[-1]
+                )
+            if not c.has_canonical_weights:
+                continue  # no squarefree ideal has this complex of primes
+            ideal = cover_ideal(c)
+            assert cover_complex(ideal) == c, name
+            for k in (2, 3):
+                engine.clear()
+                sym = algebra.symbolic_power(ideal, k)
+                assert engine == ["tight_points"], (name, k)
+                assert sym == oracles.symbolic_power_by_intersection(ideal, k), (name, k)
+        # the maximal ideal: one prime, all variables
+        maximal = veronese_ideal(4, 1)
+        assert skeleton_shape(cover_complex(maximal)) is None
+        engine.clear()
+        assert algebra.symbolic_power(maximal, 3) == maximal.power(3)
+        assert engine == ["tight_points"]
 
 
 class TestMaxDegree:
@@ -641,7 +776,9 @@ class TestSymbolicPowerOfGraphCoverIdeals:
             for k in range(1, 5):
                 caps.clear()
                 sym, witness = algebra._symbolic_power(ideal, k)
-                assert caps == [min(k, 2)], (edges, k)
+                # a complete graph's edges are all 2-subsets: the closed form
+                closed = oracles.primes_are_a_skeleton(ideal)
+                assert caps == ([] if closed else [min(k, 2)]), (edges, k)
                 assert sym == oracles.symbolic_power_by_intersection(ideal, k)
                 expected = oracles.compare_by_ordinary_power(ideal, k)
                 assert (witness is None, witness) == expected, (edges, k)
@@ -677,7 +814,8 @@ class TestEdgeIdealsBelowOddGirth:
         completions.clear()
         assert algebra.symbolic_power(ideal, k) == sym, (edges, k)
         assert tuple(algebra.compare_powers(ideal, k)) == (witness is None, witness)
-        assert len(completions) == (0 if below or not edges else 2), (edges, k)
+        closed = oracles.primes_are_a_skeleton(ideal)  # a complete graph: the closed form
+        assert len(completions) == (0 if below or closed or not edges else 2), (edges, k)
         assert (witness is None) == below, (edges, k)
         if box:
             assert sym == oracles.symbolic_power_by_box(ideal, k), (edges, k)

@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -126,6 +128,23 @@ class TestBasis:
         assert code == 3
         assert len(out.splitlines()) == 3
         assert "truncated" in err
+
+    @pytest.mark.parametrize("cap, code", [(3, 3), (4, 0), (6, 0)])
+    def test_skeleton_cap_at_its_top_degree_exits_0(self, capsys, tmp_path, cap, code):
+        # skeleton(6,3), all 4-subsets of 6 vertices: its closed form ends at
+        # degree 4, so a cap of 4 or more gives the whole basis
+        path = tmp_path / "skeleton-6-3.json"
+        facets = [list(f) for f in combinations(range(1, 7), 4)]
+        path.write_text(json.dumps({"n": 6, "facets": facets}), encoding="utf-8")
+        got, out, err = run(capsys, "basis", str(path), "--cap", str(cap), "--json")
+        data = json.loads(out)
+        assert (got, data["truncated"]) == (code, code == 3)
+        degrees = [g["k"] for g in data["basis"]]
+        assert degrees == sorted(degrees) and degrees[-1] == min(cap, 4)
+        assert len(degrees) == sum(comb(6, 2 + q) for q in range(1, min(cap, 4) + 1))
+        assert ("truncated" in err) == (code == 3)
+        if code == 0:
+            assert data["summary"]["max_degree"] == 4
 
     def test_negative_cap_is_input_error(self, capsys, triangle_file):
         code, out, err = run(capsys, "basis", triangle_file, "--cap", "-1")
